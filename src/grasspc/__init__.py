@@ -65,7 +65,6 @@ from .codec import (
     initialize,
     memoryless_quantize,
     quantize_tangent,
-    quantize_tangent_sequential,
     reconstruct_codeword,
     encode_step,
     decode_step,

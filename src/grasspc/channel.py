@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import j0 as _j0
 
 from .geometry import GrassmannPoint
@@ -176,8 +175,10 @@ def ar1_from_innovations(z: np.ndarray, alpha: float) -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.complex128)
     scale = np.sqrt(max(0.0, 1.0 - alpha * alpha))
-    x = np.concatenate([z[:1], scale * z[1:]], axis=0)
-    return lfilter([1.0], [1.0, -alpha], x, axis=0)
+    h = np.concatenate([z[:1], scale * z[1:]], axis=0)
+    for k in range(1, h.shape[0]):
+        h[k] += alpha * h[k - 1]
+    return h
 
 
 def gen_ar1(params: Ar1Params) -> ChannelTrace:

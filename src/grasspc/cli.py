@@ -38,6 +38,7 @@ from .analysis import (
 from .channel import Ar1Params, Ar2Params, gen_ar1, gen_ar2, rng_stream, save_trace
 from .codebooks import (
     ShapeGainCodebook,
+    _is_pow2,
     best_packing,
     harvest_closed_loop,
     harvest_open_loop,
@@ -191,10 +192,6 @@ class ExperimentConfig:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
 
-def _is_pow2(value: int) -> bool:
-    return value >= 1 and (value & (value - 1)) == 0
-
-
 def _require_pow2(options: dict, *keys: str):
     for key in keys:
         values = options[key] if isinstance(options[key], tuple) else (options[key],)
@@ -225,12 +222,17 @@ def _validate_options(command: str, options: dict, explicit: set):
             raise ConfigError("training needs steps >= 4 to harvest at least one tangent")
     if command == "distortion":
         _require_pow2(options, "n_d", "n_m_grid")
+        # The closed-form bounds need two codewords on each side.
+        if options["n_d"] < 2 or min(options["n_m_grid"]) < 2:
+            raise ConfigError("n_d and n_m_grid entries must be >= 2")
         if options["n"] < 2:
             raise ConfigError(f"n must be >= 2, got {options['n']}")
         if options["trials"] < 1 or options["steps"] < 3:
             raise ConfigError("need trials >= 1 and steps >= 3")
     if command == "gains":
         _require_pow2(options, "n_d", "n_m_grid")
+        if options["n_d"] < 2:
+            raise ConfigError(f"n_d must be >= 2 for a packing, got {options['n_d']}")
         if min(options["beta_grid"]) <= 0:
             raise ConfigError("beta_grid values must be positive")
         if options["trials"] < 1 or options["steps"] < 3:
@@ -241,6 +243,8 @@ def _validate_options(command: str, options: dict, explicit: set):
                 f"bits ({options['bits']}) must exceed magnitude_bits "
                 f"({options['magnitude_bits']}), which must be >= 0"
             )
+        if min(options["memoryless_bits_grid"]) < 1:
+            raise ConfigError("memoryless_bits_grid values must be >= 1")
         if min(options["beta_grid"]) <= 0:
             raise ConfigError("beta_grid values must be positive")
         if options["trials"] < 1 or options["steps"] < 3:

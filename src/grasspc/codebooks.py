@@ -391,10 +391,15 @@ def uniform_magnitude(n_m: int, lo: float = 0.0, hi: float = 1.0) -> MagnitudeCo
     return MagnitudeCodebook(lo + step * (np.arange(n_m) + 0.5))
 
 
+#: Gram rows scored per step of the early-abandon packing search.
+_PACKING_BLOCK_ROWS = 16
+
+
 @lru_cache(maxsize=32)
 def _best_packing_cached(n: int, size: int, seed: int, draws: int) -> np.ndarray:
     rng = rng_stream(seed, 0xBE5)
-    # Batch size capped so the (chunk, size, size) Gram stack stays ~64 MB.
+    # The chunk size fixes how draws are split between generator calls, and
+    # so which candidates are drawn: changing it changes every codebook.
     chunk = max(1, min(256, (1 << 22) // (size * size)))
     best_score = np.inf
     best = None
@@ -403,21 +408,38 @@ def _best_packing_cached(n: int, size: int, seed: int, draws: int) -> np.ndarray
         b = min(chunk, draws - done)
         cand = rng.standard_normal((b, size, n)) + 1j * rng.standard_normal((b, size, n))
         cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-        gram = np.abs(cand @ np.conj(np.swapaxes(cand, 1, 2))) ** 2
-        idx = np.arange(size)
-        gram[:, idx, idx] = 0.0
-        scores = gram.reshape(b, -1).max(axis=1)  # max |inner|^2 off-diagonal
-        k = int(scores.argmin())
-        if scores[k] < best_score:
-            best_score = float(scores[k])
-            best = cand[k].copy()
         done += b
+        # Score |inner|^2 a block of Gram rows at a time, for all candidates
+        # still alive.  A candidate whose running off-diagonal max already
+        # reaches best_score can never win (a winner must be strictly
+        # below it), so it is dropped without finishing its Gram matrix.
+        rows, cols = cand, np.conj(np.swapaxes(cand, 1, 2))
+        running = np.zeros(b)
+        for r0 in range(0, size, _PACKING_BLOCK_ROWS):
+            block = np.abs(rows[:, r0 : r0 + _PACKING_BLOCK_ROWS] @ cols) ** 2
+            diag = np.arange(block.shape[1])
+            block[:, diag, r0 + diag] = 0.0
+            running = np.maximum(running, block.reshape(running.size, -1).max(axis=1))
+            keep = running < best_score
+            if not keep.all():
+                rows, cols, running = rows[keep], cols[keep], running[keep]
+                if running.size == 0:
+                    break
+        if running.size:
+            k = int(running.argmin())  # first minimum, as over the whole chunk
+            best_score = float(running[k])
+            best = rows[k].copy()
     return best
 
 
 def best_packing(n: int, size: int, seed: int = 0, draws: int = 10_000) -> DirectionCodebook:
     """Best of ``draws`` random codebooks by minimum pairwise chordal distance.
 
+    A codebook's score is its largest off-diagonal |inner|^2; the first
+    codebook drawn with the smallest score wins.  The search drops a
+    candidate as soon as a block of its Gram rows reaches the best score
+    found so far, so most candidates never get a full Gram matrix; the
+    result is the one a full scoring of every candidate would pick.
     Deterministic in (n, size, seed, draws); results are cached in-process.
     """
     if size < 2:

@@ -36,7 +36,6 @@ __all__ = [
     "initialize",
     "memoryless_quantize",
     "quantize_tangent",
-    "quantize_tangent_sequential",
     "reconstruct_codeword",
     "encode_step",
     "decode_step",
@@ -178,27 +177,6 @@ def quantize_tangent(
     inner = np.cos(m)[None, :] * b + np.sin(m)[None, :] * s[:, None]
     flat = int(np.argmax(np.abs(inner) ** 2))
     d_idx, m_idx = divmod(flat, m.size)
-    return CodewordIndex(d_idx, m_idx)
-
-
-def quantize_tangent_sequential(
-    predicted: GrassmannPoint,
-    observed: GrassmannPoint,
-    codebook: ShapeGainCodebook,
-) -> CodewordIndex:
-    """Opt-in two-stage search: best direction first, then best magnitude
-    given that direction.  Cheaper than the joint search but can select a
-    different codeword, so it is not the default.
-    """
-    base = predicted.coords
-    if chordal_distance(predicted, observed) < ZERO_TANGENT_TOL:
-        return CodewordIndex(0, 0)
-    b = np.vdot(base, observed.coords)
-    s = _projected_directions(codebook.directions.entries, base).conj() @ observed.coords
-    d_idx = int(np.argmax(np.abs(s) ** 2))
-    m = codebook.magnitudes.entries
-    inner = np.cos(m) * b + np.sin(m) * s[d_idx]
-    m_idx = int(np.argmax(np.abs(inner) ** 2))
     return CodewordIndex(d_idx, m_idx)
 
 

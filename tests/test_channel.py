@@ -1,5 +1,10 @@
 """Unit tests for the temporally correlated channel models and trace I/O."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -64,6 +69,33 @@ def test_ar1_innovation_filter_matches_direct_recursion():
         ref[k] = alpha * ref[k - 1] + np.sqrt(1 - alpha**2) * z[k]
     assert np.allclose(h, ref, atol=1e-12)
     assert np.array_equal(ar1_from_innovations(z, 0.0)[0], z[0])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.97, 0.99997, -0.3])
+@pytest.mark.parametrize("shape", [(50, 3), (2, 4), (30, 4, 2)])
+def test_ar1_innovation_recursion_matches_lfilter_bitwise(alpha, shape):
+    from scipy.signal import lfilter
+
+    z = complex_gaussian(rng_stream(5), shape)
+    scale = np.sqrt(max(0.0, 1.0 - alpha * alpha))
+    x = np.concatenate([z[:1], scale * z[1:]], axis=0)
+    ref = lfilter([1.0], [1.0, -alpha], x, axis=0)
+    h = ar1_from_innovations(z, alpha)
+    assert h.dtype == ref.dtype and h.shape == ref.shape
+    assert h.tobytes() == ref.tobytes()
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    import grasspc
+
+    src = str(Path(grasspc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, grasspc.cli; print('scipy.signal' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

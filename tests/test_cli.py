@@ -98,6 +98,23 @@ def test_codebook_sizes_must_be_powers_of_two(tmp_path, capsys):
     assert "powers of two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("mse", "memoryless_bits_grid = 0"),
+        ("gains", "n_d = 1"),
+        ("distortion", "n_d = 1"),
+        ("distortion", "n_m_grid = 1"),
+    ],
+)
+def test_single_codeword_sizes_are_config_errors(tmp_path, capsys, command, key):
+    # Each of these would otherwise reach a packing or spacing that needs
+    # two codewords and escape as a ValueError traceback.
+    code, _ = run_cli(tmp_path, command, f"[{command}]\n{key}\n")
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_unwritable_output_path(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "mse", "[mse]\n", out_name="missing-dir/out.csv")
     assert code == EXIT_CONFIG

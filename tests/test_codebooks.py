@@ -273,6 +273,51 @@ def test_best_packing_deterministic_and_separated():
         best_packing(3, 1)
 
 
+def full_gram_packing(n, size, seed, draws):
+    """Reference search: score every candidate on its whole Gram matrix.
+
+    Returns the winning codebook and its score, the largest off-diagonal
+    |inner|^2.
+    """
+    rng = rng_stream(seed, 0xBE5)
+    chunk = max(1, min(256, (1 << 22) // (size * size)))
+    best_score = np.inf
+    best = None
+    done = 0
+    while done < draws:
+        b = min(chunk, draws - done)
+        cand = rng.standard_normal((b, size, n)) + 1j * rng.standard_normal((b, size, n))
+        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+        gram = np.abs(cand @ np.conj(np.swapaxes(cand, 1, 2))) ** 2
+        idx = np.arange(size)
+        gram[:, idx, idx] = 0.0
+        scores = gram.reshape(b, -1).max(axis=1)
+        k = int(scores.argmin())
+        if scores[k] < best_score:
+            best_score = float(scores[k])
+            best = cand[k].copy()
+        done += b
+    return best, best_score
+
+
+@pytest.mark.parametrize(
+    "n, size, seed, draws",
+    [
+        (2, 2, 0, 1),
+        (3, 16, 0, 2000),
+        (3, 16, 1, 2000),
+        (4, 64, 0, 10_000),
+        (4, 512, 0, 100),  # 100 is not a multiple of the 16-candidate chunk
+    ],
+)
+def test_best_packing_matches_full_gram_search(n, size, seed, draws):
+    got = best_packing(n, size, seed=seed, draws=draws)
+    ref, score = full_gram_packing(n, size, seed, draws)
+    assert got.entries.tobytes() == ref.tobytes()
+    assert got.min_chordal_distance() == DirectionCodebook(ref).min_chordal_distance()
+    assert got.min_chordal_distance() == pytest.approx(np.sqrt(1.0 - score), rel=1e-12)
+
+
 def test_shape_gain_storage_expands_to_distinct_tangencies():
     # N_d + N_m stored rows parameterize N_d * N_m distinct reconstructed
     # points when applied at a base.
