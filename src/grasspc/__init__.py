@@ -66,12 +66,8 @@ from .codec import (
     memoryless_quantize,
     quantize_tangent,
     reconstruct_codeword,
-    encode_step,
-    decode_step,
     encode_trace,
     decode_trace,
-    direction_only_quantizer,
-    exact_quantizer,
     write_index_stream,
     read_index_stream,
 )

@@ -47,8 +47,8 @@ from .codebooks import (
     save_codebook,
     uniform_magnitude,
 )
-from .codec import direction_only_quantizer, encode_trace
-from .mumimo import SCHEMES, SumRateConfig, run_sumrate_experiment
+from .codec import encode_trace
+from .mumimo import SumRateConfig, run_sumrate_experiment
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main"]
 
@@ -107,7 +107,12 @@ def _list_of(item_parser):
     return parse
 
 
-_REQUIRED = object()
+def _parser_for(default):
+    """The parser for values of the default's type (tuples parse as lists)."""
+    if isinstance(default, tuple):
+        return _list_of(_parser_for(default[0]))
+    return {int: _parse_int, float: _parse_float, str: _parse_str}[type(default)]
+
 
 _MODEL_KEYS = {
     "model": (_parse_str, "ar1"),
@@ -156,17 +161,11 @@ _SCHEMAS: dict[str, dict] = {
         "steps": (_parse_int, 10_000),
         "trials": (_parse_int, 20),
     },
+    # SumRateConfig is the one source of these defaults; the seed is --seed.
     "sumrate": {
-        "n_t": (_parse_int, 4),
-        "users": (_parse_int, 4),
-        "bits": (_parse_int, 9),
-        "magnitude_bits": (_parse_int, 3),
-        "snr_db_grid": (_list_of(_parse_float), (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)),
-        "fdts_grid": (_list_of(_parse_float), (0.001, 0.01, 0.02, 0.04)),
-        "schemes": (_list_of(_parse_str), SCHEMES),
-        "trials": (_parse_int, 500),
-        "steps": (_parse_int, 60),
-        "discard": (_parse_int, 20),
+        f.name: (_parser_for(f.default), f.default)
+        for f in dataclasses.fields(SumRateConfig)
+        if f.name != "seed"
     },
 }
 
@@ -252,16 +251,7 @@ def _validate_options(command: str, options: dict, explicit: set):
     if command == "sumrate":
         try:
             options["sumrate_config"] = SumRateConfig(
-                n_t=options["n_t"],
-                users=options["users"],
-                bits=options["bits"],
-                magnitude_bits=options["magnitude_bits"],
-                snr_db_grid=options["snr_db_grid"],
-                fdts_grid=options["fdts_grid"],
-                schemes=options["schemes"],
-                trials=options["trials"],
-                steps=options["steps"],
-                discard=options["discard"],
+                **{key: options[key] for key in _SCHEMAS["sumrate"]}
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -535,7 +525,7 @@ def cmd_gains(config: ExperimentConfig):
                     t.points,
                     curves[0][1],
                     mode="exact",
-                    quantizer=direction_only_quantizer,
+                    free_magnitude=True,
                     on_track_loss="reinit",
                 ).prediction_errors
                 ** 2

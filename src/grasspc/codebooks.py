@@ -22,6 +22,7 @@ from .geometry import (
     CutLocusError,
     GrassmannPoint,
     TangentVector,
+    _log_coords,
     log_map,
     predict_one_step,
 )
@@ -232,39 +233,31 @@ def harvest_open_loop(points) -> TrainingSet:
     return TrainingSet(tuple(tangents), skipped)
 
 
-def harvest_closed_loop(points, codebook: ShapeGainCodebook | None) -> TrainingSet:
+def harvest_closed_loop(points, codebook: ShapeGainCodebook) -> TrainingSet:
     """Prediction-error tangents seen by the running encoder itself.
 
-    The encoder is initialized exactly from the first two points; each step
-    contributes log_map(predicted, observed) before the quantized update is
-    applied.  Encoder cut-locus failures are counted and recover by exact
-    re-initialization from the raw observations.  ``codebook=None`` is the
-    infinite-resolution stand-in: every estimate equals the observation, so
-    the harvested tangents coincide with the open-loop ones.
+    Runs the encoder (exact initialization from the first two points) and
+    records log_map(predicted, observed) at each step, before the quantized
+    update is applied; a step whose observation straddles the cut locus
+    contributes no tangent.  Encoder cut-locus failures are counted in
+    ``skipped`` and recover by exact re-initialization from the raw
+    observations.
     """
-    from .codec import encode_step, initialize  # local import to avoid a cycle
+    from .codec import _run, _seed  # local import to avoid a cycle
 
-    points = list(points)
-    if len(points) < 3:
+    rows = [p.coords for p in points]
+    if len(rows) < 3:
         raise ValueError("need at least 3 points to harvest")
-    state = initialize(points[0], points[1], codebook, mode="exact")
+    run = _run(codebook, _seed(rows[0], rows[1], codebook, "exact"), 2, rows, reseed="exact")
     tangents = []
-    skipped = 0
-    for k in range(2, len(points)):
+    for base, target in zip(run.predictions, rows[2:]):
         try:
-            tangents.append(log_map(state.predicted, points[k]))
-            if codebook is None:
-                # Advance on the raw observation itself: bit-identical to the
-                # open-loop predictor, which is the point of the stub.
-                state = initialize(points[k - 1], points[k], None, mode="exact")
-            else:
-                _, state, _ = encode_step(state, points[k], codebook)
+            tangents.append(TangentVector(GrassmannPoint(base), *_log_coords(base, target)))
         except CutLocusError:
-            skipped += 1
-            state = initialize(points[k - 1], points[k], codebook, mode="exact")
+            pass
     if not tangents:
         raise ValueError("every step straddled the cut locus; nothing harvested")
-    return TrainingSet(tuple(tangents), skipped)
+    return TrainingSet(tuple(tangents), run.reinits)
 
 
 def _repair_empty(dist: np.ndarray, count: int) -> np.ndarray:
@@ -444,6 +437,10 @@ def best_packing(n: int, size: int, seed: int = 0, draws: int = 10_000) -> Direc
     """
     if size < 2:
         raise ValueError("a packing needs at least two codewords")
+    if n < 2:
+        raise ValueError(f"a packing needs ambient dimension n >= 2, got n = {n}")
+    if draws < 1:
+        raise ValueError(f"a packing needs draws >= 1 candidate codebooks, got draws = {draws}")
     return DirectionCodebook(_best_packing_cached(int(n), int(size), int(seed), int(draws)))
 
 

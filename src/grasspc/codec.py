@@ -1,15 +1,18 @@
 """Predictive encoder/decoder on the Grassmannian of complex lines.
 
 Both ends keep the same three-point state (previous estimate, current
-estimate, one-step prediction).  The encoder maps each new observation to
-the tangent space at the prediction, quantizes the resulting error tangent
-against a shape-gain codebook, and transmits only the codeword index; the
-decoder replays the identical update, so the two estimate sequences are
-bit-identical as long as the index stream is intact.
+estimate, one-step prediction) and repeat one update per step: the encoder
+quantizes the observation's error tangent at the prediction against a
+shape-gain codebook and sends only the codeword index; both ends step along
+that codeword and extrapolate the next prediction.  ``_run`` is the one
+implementation of that update, on plain complex rows: the encoder, the
+decoder and the closed-loop training harvest all run it, so the two estimate
+sequences are bit-identical as long as the index stream is intact.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +24,10 @@ from .geometry import (
     CutLocusError,
     GrassmannPoint,
     TangentVector,
+    _chord_from_coords,
+    _geodesic_coords,
+    _predict_coords,
     chordal_distance,
-    exp_map,
-    log_map,
-    predict_one_step,
 )
 
 __all__ = [
@@ -37,12 +40,8 @@ __all__ = [
     "memoryless_quantize",
     "quantize_tangent",
     "reconstruct_codeword",
-    "encode_step",
-    "decode_step",
     "encode_trace",
     "decode_trace",
-    "direction_only_quantizer",
-    "exact_quantizer",
     "write_index_stream",
     "read_index_stream",
 ]
@@ -113,16 +112,6 @@ class GpcState:
             raise ValueError("state time starts at 2 (two points seed the predictor)")
 
 
-def _advance(state: GpcState, estimate: GrassmannPoint) -> GpcState:
-    """Shared encoder/decoder state update; identical float operations on
-    both ends keep the sessions bit-synchronized."""
-    try:
-        predicted = predict_one_step(state.est_curr, estimate)
-    except CutLocusError as exc:
-        raise TrackingLostError(exc.rho_abs, state.time) from exc
-    return GpcState(state.est_curr, estimate, predicted, state.time + 1)
-
-
 def memoryless_quantize(
     observed: GrassmannPoint, direction_codebook: DirectionCodebook
 ) -> tuple[int, GrassmannPoint]:
@@ -136,9 +125,7 @@ def memoryless_quantize(
     return idx, GrassmannPoint.from_vector(direction_codebook.entries[idx])
 
 
-def _projected_directions(
-    codebook_entries: np.ndarray, base: np.ndarray
-) -> np.ndarray:
+def _projected_directions(codebook_entries: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Direction codewords projected onto the tangent space at ``base`` and
     renormalized; rows that collapse onto the base line become zero rows
     (their candidates reduce to the base point for every magnitude)."""
@@ -149,6 +136,64 @@ def _projected_directions(
     out = np.zeros_like(w)
     out[keep] = w[keep] / norms[keep, None]
     return out
+
+
+def _joint_search(base, observed, rho, chord, entries, cos_m, sin_m) -> tuple[int, int]:
+    """:func:`quantize_tangent` on plain rows, given rho = base^H observed,
+    their chordal distance and the magnitudes' (1, N_m) cosines and sines."""
+    if chord < ZERO_TANGENT_TOL:
+        return 0, 0
+    s = _projected_directions(entries, base).conj() @ observed
+    inner = cos_m * rho + sin_m * s[:, None]
+    return divmod(int(np.argmax(np.abs(inner) ** 2)), cos_m.size)
+
+
+def _direction_only(base, observed, rho, chord, entries) -> tuple[float, np.ndarray]:
+    """(magnitude, direction) of the best direction codeword with its
+    continuously optimal, unquantized magnitude.
+
+    This is the infinite-resolution limit of the joint search: for each
+    direction codeword the score |cos(m) rho + sin(m) s_i|^2 is a sinusoid in
+    2m, so the optimal magnitude has a closed form.
+    """
+    if chord < ZERO_TANGENT_TOL:
+        return 0.0, np.zeros_like(base)
+    proj = _projected_directions(entries, base)
+    s = proj.conj() @ observed
+    bb = abs(rho) ** 2
+    ss = np.abs(s) ** 2
+    cross = (np.conj(rho) * s).real
+    # score(m) = (bb+ss)/2 + ((bb-ss)/2) cos 2m + cross sin 2m on m in
+    # [0, pi/2]; the interior optimum exists iff cross >= 0, otherwise the
+    # best in-range magnitude is an endpoint (0 or pi/2).
+    interior, endpoint = cross >= 0.0, np.where(bb >= ss, 0.0, np.pi / 2)
+    m_best = np.where(interior, 0.5 * np.arctan2(2.0 * cross, bb - ss), endpoint)
+    peak = 0.5 * (bb + ss) + np.hypot(0.5 * (bb - ss), cross)
+    score = np.where(interior, peak, np.maximum(bb, ss))
+    d_idx = int(np.argmax(score))
+    magnitude = float(min(m_best[d_idx], np.pi / 2))
+    if magnitude <= ZERO_TANGENT_TOL or np.linalg.norm(proj[d_idx]) == 0.0:
+        return 0.0, np.zeros_like(base)
+    return magnitude, proj[d_idx]
+
+
+def _codeword(base, entries, levels, d_idx, m_idx) -> tuple[float, np.ndarray]:
+    """(magnitude, direction) of :func:`reconstruct_codeword` on plain rows."""
+    magnitude = float(levels[m_idx])
+    c = entries[d_idx]
+    w = c - np.vdot(base, c) * base
+    wn = np.linalg.norm(w)
+    if magnitude == 0.0 or wn < PROJECTION_COLLAPSE_TOL:
+        return 0.0, np.zeros_like(base)
+    return magnitude, w / wn
+
+
+def _pair(index: CodewordIndex, codebook: ShapeGainCodebook) -> tuple[int, int]:
+    if not (0 <= index.direction_index < codebook.directions.size):
+        raise IndexError(f"direction_index {index.direction_index} out of range")
+    if not (0 <= index.magnitude_index < codebook.magnitudes.size):
+        raise IndexError(f"magnitude_index {index.magnitude_index} out of range")
+    return index.direction_index, index.magnitude_index
 
 
 def quantize_tangent(
@@ -168,16 +213,10 @@ def quantize_tangent(
     (entry 0 of the sorted codebook) wins, which keeps the degenerate tie
     deterministic instead of resting on rounding noise.
     """
-    base = predicted.coords
-    if chordal_distance(predicted, observed) < ZERO_TANGENT_TOL:
-        return CodewordIndex(0, 0)
-    b = np.vdot(base, observed.coords)
-    s = _projected_directions(codebook.directions.entries, base).conj() @ observed.coords
-    m = codebook.magnitudes.entries
-    inner = np.cos(m)[None, :] * b + np.sin(m)[None, :] * s[:, None]
-    flat = int(np.argmax(np.abs(inner) ** 2))
-    d_idx, m_idx = divmod(flat, m.size)
-    return CodewordIndex(d_idx, m_idx)
+    p, o, m = predicted.coords, observed.coords, codebook.magnitudes.entries[None, :]
+    chord = chordal_distance(predicted, observed)
+    entries = codebook.directions.entries
+    return CodewordIndex(*_joint_search(p, o, np.vdot(p, o), chord, entries, np.cos(m), np.sin(m)))
 
 
 def reconstruct_codeword(
@@ -193,20 +232,38 @@ def reconstruct_codeword(
     geodesic endpoint on the manifold.  A codeword collinear with the base
     (projection collapse) reconstructs to the zero tangent.
     """
-    if not (0 <= index.direction_index < codebook.directions.size):
-        raise IndexError(f"direction_index {index.direction_index} out of range")
-    if not (0 <= index.magnitude_index < codebook.magnitudes.size):
-        raise IndexError(f"magnitude_index {index.magnitude_index} out of range")
-    magnitude = float(codebook.magnitudes.entries[index.magnitude_index])
-    if magnitude == 0.0:
-        return TangentVector.zero(predicted)
-    c = codebook.directions.entries[index.direction_index]
-    base = predicted.coords
-    w = c - np.vdot(base, c) * base
-    wn = np.linalg.norm(w)
-    if wn < PROJECTION_COLLAPSE_TOL:
-        return TangentVector.zero(predicted)
-    return TangentVector(predicted, magnitude, w / wn)
+    d_idx, m_idx = _pair(index, codebook)
+    entries, levels = codebook.directions.entries, codebook.magnitudes.entries
+    return TangentVector(predicted, *_codeword(predicted.coords, entries, levels, d_idx, m_idx))
+
+
+def _seed(x0: np.ndarray, x1: np.ndarray, codebook, mode: str):
+    """(previous, current, predicted) rows seeded from two observations."""
+    if mode == "exact":
+        return x0, x1, _predict_coords(x0, x1)
+    if mode != "memoryless":
+        raise ValueError(f"mode must be 'exact' or 'memoryless', got {mode!r}")
+    if codebook is None:
+        raise ValueError("memoryless initialization requires a codebook")
+    entries = codebook.directions.entries
+    c0 = entries[int((np.abs(entries.conj() @ x0) ** 2).argmax())]
+    q0 = c0 / np.linalg.norm(c0)
+    scores = np.abs(entries.conj() @ x1) ** 2
+    last_exc: CutLocusError | None = None
+    for i1 in np.argsort(-scores, kind="stable"):
+        q1 = entries[i1] / np.linalg.norm(entries[i1])
+        try:
+            return q0, q1, _predict_coords(q0, q1)
+        except CutLocusError as exc:
+            last_exc = exc
+    raise CutLocusError(
+        last_exc.rho_abs if last_exc else 0.0,
+        "no codeword for the second point can seed the predictor",
+    )
+
+
+def _state(rows, time: int) -> GpcState:
+    return GpcState(*(GrassmannPoint(r) for r in rows), time)
 
 
 def initialize(
@@ -224,121 +281,69 @@ def initialize(
     quantized points cannot seed the predictor (cut locus), the second point
     falls back to its next-best codewords before giving up.
     """
-    if mode == "exact":
-        return GpcState(x0, x1, predict_one_step(x0, x1), 2)
-    if mode != "memoryless":
-        raise ValueError(f"mode must be 'exact' or 'memoryless', got {mode!r}")
-    if codebook is None:
-        raise ValueError("memoryless initialization requires a codebook")
-    _, q0 = memoryless_quantize(x0, codebook.directions)
-    scores = np.abs(codebook.directions.entries.conj() @ x1.coords) ** 2
-    last_exc: CutLocusError | None = None
-    for i1 in np.argsort(-scores, kind="stable"):
-        q1 = GrassmannPoint.from_vector(codebook.directions.entries[i1])
+    return _state(_seed(x0.coords, x1.coords, codebook, mode), 2)
+
+
+_Run = namedtuple("_Run", "pairs estimates predictions pred_err est_err state time reinits")
+
+
+def _run(codebook, state, time, observed=None, pairs=None, free_magnitude=False, reseed=None):
+    """The codec update, repeated over a session on plain complex rows.
+
+    Each step starts from the (previous, current, predicted) ``state`` at
+    step ``time``, picks a codeword, steps from the prediction along it and
+    extrapolates the next prediction.  The encoder passes the trace's
+    ``observed`` rows (rows 0 and 1 seeded ``state``) and searches each
+    codeword; the decoder passes the received index ``pairs``.  Both ends
+    run the same float operations in the same order, which keeps them
+    bit-synchronized.  On track loss the encoder re-seeds from its two
+    latest observations in mode ``reseed``; without one, and always in the
+    decoder, :class:`TrackingLostError` is raised.
+    """
+    entries, levels = codebook.directions.entries, codebook.magnitudes.entries
+    cos_m, sin_m = np.cos(levels)[None, :], np.sin(levels)[None, :]
+    decoding = observed is None
+    steps = len(pairs) if decoding else len(observed) - 2
+    prev, curr, predicted = state
+    sent, estimates, predictions = [], [], []
+    pred_err = np.empty(0 if decoding else steps)
+    est_err = np.empty_like(pred_err)
+    reinits = 0
+    for j in range(steps):
+        predictions.append(predicted)
         try:
-            return GpcState(q0, q1, predict_one_step(q0, q1), 2)
+            if decoding:
+                pair = pairs[j]
+            else:
+                obs = observed[j + 2]
+                pred_err[j] = chord = _chord_from_coords(predicted, obs)
+                rho = np.vdot(predicted, obs)
+                if abs(rho) <= RHO_MIN:
+                    raise CutLocusError(abs(rho))
+                if free_magnitude:
+                    pair = None
+                    angle, direction = _direction_only(predicted, obs, rho, chord, entries)
+                else:
+                    pair = _joint_search(predicted, obs, rho, chord, entries, cos_m, sin_m)
+            if pair is not None:
+                angle, direction = _codeword(predicted, entries, levels, *pair)
+            estimate = predicted if angle == 0.0 else _geodesic_coords(predicted, direction, angle)
+            next_predicted = _predict_coords(curr, estimate)
         except CutLocusError as exc:
-            last_exc = exc
-    raise CutLocusError(
-        last_exc.rho_abs if last_exc else 0.0,
-        "no codeword for the second point can seed the predictor",
-    )
-
-
-def encode_step(
-    state: GpcState,
-    observed: GrassmannPoint,
-    codebook: ShapeGainCodebook,
-    quantizer=None,
-) -> tuple[CodewordIndex | None, GpcState, GrassmannPoint]:
-    """One encoder update: quantize the error tangent, apply it, advance.
-
-    Returns the transmitted index, the advanced state, and the new estimate.
-    ``quantizer`` overrides the default joint search; it is called as
-    ``quantizer(predicted, observed, codebook)`` and returns a tangent plus
-    an optional index (``None`` for analysis-only quantizers that have no
-    wire representation).  Raises :class:`TrackingLostError` when the
-    observation or the advanced estimates straddle the cut locus.
-    """
-    try:
-        error = log_map(state.predicted, observed)
-    except CutLocusError as exc:
-        raise TrackingLostError(exc.rho_abs, state.time) from exc
-    if quantizer is None:
-        index = quantize_tangent(state.predicted, observed, codebook)
-        tangent = reconstruct_codeword(index, state.predicted, codebook)
-    else:
-        tangent, index = quantizer(state.predicted, observed, codebook, error)
-    estimate = exp_map(state.predicted, tangent)
-    return index, _advance(state, estimate), estimate
-
-
-def decode_step(
-    state: GpcState,
-    index: CodewordIndex,
-    codebook: ShapeGainCodebook,
-) -> tuple[GrassmannPoint, GpcState]:
-    """One decoder update, the exact float-for-float mirror of the encoder:
-    reconstruct the indexed codeword at the current prediction, step along
-    the geodesic, advance the state."""
-    tangent = reconstruct_codeword(index, state.predicted, codebook)
-    estimate = exp_map(state.predicted, tangent)
-    return estimate, _advance(state, estimate)
-
-
-def direction_only_quantizer(
-    predicted: GrassmannPoint,
-    observed: GrassmannPoint,
-    codebook: ShapeGainCodebook,
-    error: TangentVector,
-) -> tuple[TangentVector, None]:
-    """Quantize only the tangent direction; the magnitude stays unquantized.
-
-    This is the infinite-resolution limit of the joint search: for each
-    direction codeword the score |cos(m) b + sin(m) s_i|^2 is a sinusoid in
-    2m, so the continuously optimal magnitude has a closed form, and the
-    best (direction, optimal magnitude) pair wins.  Analysis-only (the
-    magnitude has no wire representation); used to isolate how much of the
-    loss is attributable to magnitude quantization.
-    """
-    if error.is_zero:
-        return TangentVector.zero(predicted), None
-    base = predicted.coords
-    b = np.vdot(base, observed.coords)
-    proj = _projected_directions(codebook.directions.entries, base)
-    s = proj.conj() @ observed.coords
-    bb = abs(b) ** 2
-    ss = np.abs(s) ** 2
-    cross = (np.conj(b) * s).real
-    # score(m) = (bb+ss)/2 + ((bb-ss)/2) cos 2m + cross sin 2m on m in
-    # [0, pi/2]; the interior optimum exists iff cross >= 0, otherwise the
-    # best in-range magnitude is an endpoint (0 or pi/2).
-    m_best = np.where(
-        cross >= 0.0,
-        0.5 * np.arctan2(2.0 * cross, bb - ss),
-        np.where(bb >= ss, 0.0, np.pi / 2),
-    )
-    score = np.where(
-        cross >= 0.0,
-        0.5 * (bb + ss) + np.hypot(0.5 * (bb - ss), cross),
-        np.maximum(bb, ss),
-    )
-    d_idx = int(np.argmax(score))
-    magnitude = float(min(m_best[d_idx], np.pi / 2))
-    if magnitude <= ZERO_TANGENT_TOL or np.linalg.norm(proj[d_idx]) == 0.0:
-        return TangentVector.zero(predicted), None
-    return TangentVector(predicted, magnitude, proj[d_idx]), None
-
-
-def exact_quantizer(
-    predicted: GrassmannPoint,
-    observed: GrassmannPoint,
-    codebook: ShapeGainCodebook,
-    error: TangentVector,
-) -> tuple[TangentVector, None]:
-    """Infinite-resolution stand-in: the error tangent passes through
-    unquantized.  Analysis-only."""
-    return error, None
+            if decoding or reseed is None:
+                raise TrackingLostError(exc.rho_abs, time) from exc
+            reinits += 1
+            prev, curr, predicted = _seed(observed[j + 1], obs, codebook, reseed)
+            time, pair, estimate = 2, None, curr
+        else:
+            prev, curr, predicted = curr, estimate, next_predicted
+            time += 1
+        sent.append(pair)
+        estimates.append(estimate)
+        if not decoding:
+            est_err[j] = _chord_from_coords(estimate, obs)
+    state = (prev, curr, predicted)
+    return _Run(sent, estimates, predictions, pred_err, est_err, state, time, reinits)
 
 
 @dataclass(frozen=True)
@@ -366,42 +371,37 @@ def encode_trace(
     points,
     codebook: ShapeGainCodebook,
     mode: str = "exact",
-    quantizer=None,
+    free_magnitude: bool = False,
     on_track_loss: str = "raise",
 ) -> EncodeResult:
     """Run the encoder over a whole trace of points.
 
-    ``on_track_loss`` is ``"raise"`` (propagate :class:`TrackingLostError`)
-    or ``"reinit"`` (re-seed from the two latest observations in the same
-    ``mode``, recording ``None`` for the step's index — the wire format
-    cannot carry re-initialization, so streams with re-inits are for
-    analysis, not replay).
+    The state is seeded from the first two points in ``mode`` (see
+    :func:`initialize`).  ``free_magnitude=True`` replaces the joint search
+    with a direction-only search that leaves the magnitude unquantized: it
+    has no wire form, so every index is ``None``, and it isolates the loss
+    due to magnitude quantization.  ``on_track_loss`` is ``"raise"`` (propagate
+    :class:`TrackingLostError`) or ``"reinit"`` (re-seed from the two latest
+    observations in the same ``mode``, recording ``None`` for the step's
+    index — the wire format cannot carry re-initialization, so streams with
+    re-inits are for analysis, not replay).
     """
     if on_track_loss not in ("raise", "reinit"):
         raise ValueError(f"on_track_loss must be 'raise' or 'reinit', got {on_track_loss!r}")
-    points = list(points)
-    if len(points) < 3:
+    rows = [p.coords for p in points]
+    if len(rows) < 3:
         raise ValueError("need at least 3 points (two seed the state)")
-    state = initialize(points[0], points[1], codebook, mode=mode)
-    indices: list[CodewordIndex | None] = []
-    estimates: list[GrassmannPoint] = []
-    pred_err = np.empty(len(points) - 2)
-    est_err = np.empty(len(points) - 2)
-    reinits = 0
-    for j, observed in enumerate(points[2:]):
-        pred_err[j] = chordal_distance(state.predicted, observed)
-        try:
-            index, state, estimate = encode_step(state, observed, codebook, quantizer)
-        except TrackingLostError:
-            if on_track_loss == "raise":
-                raise
-            reinits += 1
-            state = initialize(points[j + 1], observed, codebook, mode=mode)
-            index, estimate = None, state.est_curr
-        indices.append(index)
-        estimates.append(estimate)
-        est_err[j] = chordal_distance(estimate, observed)
-    return EncodeResult(tuple(indices), tuple(estimates), pred_err, est_err, state, reinits)
+    reseed = mode if on_track_loss == "reinit" else None
+    state = _seed(rows[0], rows[1], codebook, mode)
+    run = _run(codebook, state, 2, rows, None, free_magnitude, reseed)
+    return EncodeResult(
+        tuple(None if p is None else CodewordIndex(*p) for p in run.pairs),
+        tuple(GrassmannPoint(e) for e in run.estimates),
+        run.pred_err,
+        run.est_err,
+        _state(run.state, run.time),
+        run.reinits,
+    )
 
 
 def decode_trace(
@@ -411,11 +411,12 @@ def decode_trace(
 ) -> tuple[tuple[GrassmannPoint, ...], GpcState]:
     """Replay an index stream from an initial state; an empty stream leaves
     the state unchanged."""
-    estimates = []
-    for index in indices:
-        estimate, state = decode_step(state, index, codebook)
-        estimates.append(estimate)
-    return tuple(estimates), state
+    pairs = [_pair(index, codebook) for index in indices]
+    if not pairs:
+        return (), state
+    rows = (state.est_prev.coords, state.est_curr.coords, state.predicted.coords)
+    run = _run(codebook, rows, state.time, pairs=pairs)
+    return tuple(GrassmannPoint(e) for e in run.estimates), _state(run.state, run.time)
 
 
 def write_index_stream(path, indices, n_m: int):

@@ -17,6 +17,7 @@ constants below are part of the public contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,7 @@ def _as_unit_vector(values, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be a 1-D complex vector, got shape {arr.shape}")
     if arr.size < 2:
         raise ValueError(f"{what} needs ambient dimension n >= 2, got n = {arr.size}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     return arr
 
@@ -97,7 +98,7 @@ class GrassmannPoint:
 
     def __post_init__(self):
         arr = _as_unit_vector(self.coords, "GrassmannPoint.coords").copy()
-        nrm = np.linalg.norm(arr)
+        nrm = math.sqrt(np.vdot(arr, arr).real)  # cheaper than np.linalg.norm
         if abs(nrm - 1.0) > UNIT_NORM_TOL:
             raise ValueError(
                 f"representative must be unit norm within {UNIT_NORM_TOL:.0e}; "
@@ -157,7 +158,7 @@ class TangentVector:
         if mag == 0.0:
             arr = np.zeros_like(arr)
         else:
-            nrm = np.linalg.norm(arr)
+            nrm = math.sqrt(np.vdot(arr, arr).real)  # cheaper than np.linalg.norm
             if abs(nrm - 1.0) > UNIT_NORM_TOL:
                 raise ValueError(
                     f"direction must be unit norm within {UNIT_NORM_TOL:.0e}; got {nrm!r}"
@@ -234,6 +235,21 @@ def _orthonormal_direction(raw: np.ndarray, base: np.ndarray) -> np.ndarray:
     return unit / np.linalg.norm(unit)
 
 
+def _log_coords(base: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """(magnitude, unit direction) of :func:`log_map` on plain rows."""
+    rho = np.vdot(base, target)
+    a = abs(rho)
+    if a <= RHO_MIN:
+        raise CutLocusError(a)
+    w = target / rho - base
+    wn = float(np.linalg.norm(w))
+    # ||w|| = d / |rho| exactly, so d = |rho| ||w|| and the arc length is
+    # arctan(||w||); both stay fully accurate for nearly coincident pairs.
+    if a * wn < ZERO_TANGENT_TOL:
+        return 0.0, np.zeros_like(base)
+    return float(np.arctan(wn)), _orthonormal_direction(w, base)
+
+
 def log_map(base: GrassmannPoint, target: GrassmannPoint) -> TangentVector:
     """Tangent at ``base`` whose geodesic reaches ``target`` at t = 1.
 
@@ -242,18 +258,13 @@ def log_map(base: GrassmannPoint, target: GrassmannPoint) -> TangentVector:
     tangent, and |rho| <= RHO_MIN raises :class:`CutLocusError`.
     """
     _check_pair(base, target)
-    rho = np.vdot(base.coords, target.coords)
-    a = abs(rho)
-    if a <= RHO_MIN:
-        raise CutLocusError(a)
-    w = target.coords / rho - base.coords
-    wn = float(np.linalg.norm(w))
-    # ||w|| = d / |rho| exactly, so d = |rho| ||w|| and the arc length is
-    # arctan(||w||); both stay fully accurate for nearly coincident pairs.
-    if a * wn < ZERO_TANGENT_TOL:
-        return TangentVector.zero(base)
-    magnitude = float(np.arctan(wn))
-    return TangentVector(base, magnitude, _orthonormal_direction(w, base.coords))
+    return TangentVector(base, *_log_coords(base.coords, target.coords))
+
+
+def _geodesic_coords(base: np.ndarray, direction: np.ndarray, angle: float) -> np.ndarray:
+    """:func:`exp_map` on plain rows, for arc length ``angle``."""
+    v = base * np.cos(angle) + direction * np.sin(angle)
+    return v / np.linalg.norm(v)
 
 
 def exp_map(base: GrassmannPoint, tangent: TangentVector, t: float = 1.0) -> GrassmannPoint:
@@ -271,9 +282,7 @@ def exp_map(base: GrassmannPoint, tangent: TangentVector, t: float = 1.0) -> Gra
         raise ValueError(f"t must be a finite non-negative scalar, got {t!r}")
     if tangent.is_zero or t == 0.0:
         return GrassmannPoint(base.coords)
-    ang = tangent.magnitude * t
-    v = base.coords * np.cos(ang) + tangent.direction * np.sin(ang)
-    return GrassmannPoint.from_vector(v)
+    return GrassmannPoint(_geodesic_coords(base.coords, tangent.direction, tangent.magnitude * t))
 
 
 def parallel_transport(x1: GrassmannPoint, x2: GrassmannPoint) -> TangentVector:
@@ -298,6 +307,16 @@ def parallel_transport(x1: GrassmannPoint, x2: GrassmannPoint) -> TangentVector:
     return TangentVector(x2, magnitude, _orthonormal_direction(u, x2.coords))
 
 
+def _predict_coords(x_prev: np.ndarray, x_curr: np.ndarray) -> np.ndarray:
+    """:func:`predict_one_step` on plain rows."""
+    rho = np.vdot(x_prev, x_curr)
+    a = abs(rho)
+    if a <= RHO_MIN:
+        raise CutLocusError(a)
+    v = (a + np.conj(rho)) * x_curr - x_prev
+    return v / np.linalg.norm(v)
+
+
 def predict_one_step(x_prev: GrassmannPoint, x_curr: GrassmannPoint) -> GrassmannPoint:
     """Extrapolate one step along the geodesic from ``x_prev`` through ``x_curr``.
 
@@ -309,12 +328,7 @@ def predict_one_step(x_prev: GrassmannPoint, x_curr: GrassmannPoint) -> Grassman
     d(x_curr, x_tilde) = d(x_prev, x_curr).
     """
     _check_pair(x_prev, x_curr)
-    rho = np.vdot(x_prev.coords, x_curr.coords)
-    a = abs(rho)
-    if a <= RHO_MIN:
-        raise CutLocusError(a)
-    v = (a + np.conj(rho)) * x_curr.coords - x_prev.coords
-    return GrassmannPoint.from_vector(v)
+    return GrassmannPoint(_predict_coords(x_prev.coords, x_curr.coords))
 
 
 def sequence_correlation(xs, ys, lag: int) -> float:

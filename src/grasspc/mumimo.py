@@ -108,6 +108,21 @@ class Beamformers:
         return self.columns.shape[1]
 
 
+def _zf_columns(h: np.ndarray) -> np.ndarray:
+    """:func:`zf_beamformers` columns (..., N_t, U) for a stack of composite
+    channels (..., U, N_t); any rank-deficient one raises."""
+    smallest = np.linalg.svd(h, compute_uv=False)[..., -1]
+    if np.any(smallest <= RANK_TOL):
+        raise RankDeficientError(
+            f"smallest singular value {np.min(smallest):.3e} <= {RANK_TOL:g}; "
+            "zero-forcing needs a full-row-rank composite channel"
+        )
+    # Receive model is y_u = h_u^H x, so the matrix whose pseudoinverse
+    # nulls the cross terms is the conjugated row stack.
+    pinv = np.linalg.pinv(h.conj())
+    return pinv / np.linalg.norm(pinv, axis=-2, keepdims=True)
+
+
 def zf_beamformers(channels: CompositeChannel) -> Beamformers:
     """Zero-forcing beamformers: normalized columns of the pseudoinverse.
 
@@ -115,27 +130,16 @@ def zf_beamformers(channels: CompositeChannel) -> Beamformers:
     full row rank; a smallest singular value at or below ``RANK_TOL``
     raises :class:`RankDeficientError` instead of amplifying noise.
     """
-    h = channels.rows
-    smallest = np.linalg.svd(h, compute_uv=False)[-1]
-    if smallest <= RANK_TOL:
-        raise RankDeficientError(
-            f"smallest singular value {smallest:.3e} <= {RANK_TOL:g}; "
-            "zero-forcing needs a full-row-rank composite channel"
-        )
-    # Receive model is y_u = h_u^H x, so the matrix whose pseudoinverse
-    # nulls the cross terms is the conjugated row stack.
-    pinv = np.linalg.pinv(h.conj())
-    return Beamformers(pinv / np.linalg.norm(pinv, axis=0, keepdims=True))
+    return Beamformers(_zf_columns(channels.rows))
 
 
-def _sinr_terms(channels: CompositeChannel, beamformers: Beamformers):
-    """Per-user (||h||^2, |g^H v_u|^2, sum_{n != u} |g^H v_n|^2)."""
-    if beamformers.users != channels.users:
-        raise ValueError("beamformer count must match user count")
-    cross = np.abs(channels.directions.conj() @ beamformers.columns) ** 2
-    signal = np.diagonal(cross).copy()
-    interference = cross.sum(axis=1) - signal
-    return channels.gains**2, signal, interference
+def _sinr_terms(rows: np.ndarray, columns: np.ndarray):
+    """Per-user (||h||^2, |g^H v_u|^2, sum_{n != u} |g^H v_n|^2) for a
+    stack of channel rows (..., U, N_t) and beamformer columns (..., N_t, U)."""
+    gains = np.linalg.norm(rows, axis=-1)
+    cross = np.abs((rows / gains[..., None]).conj() @ columns) ** 2
+    signal = np.diagonal(cross, axis1=-2, axis2=-1)
+    return gains**2, signal, cross.sum(axis=-1) - signal
 
 
 def per_user_sinr(
@@ -147,8 +151,10 @@ def per_user_sinr(
              / (1 + (P/U) ||h_u||^2 sum_{n != u} |g_u^H v_n|^2)
     with P = 10^(snr_db / 10) split equally over the U streams.
     """
+    if beamformers.users != channels.users:
+        raise ValueError("beamformer count must match user count")
     power_per_user = 10.0 ** (float(snr_db) / 10.0) / channels.users
-    a, signal, interference = _sinr_terms(channels, beamformers)
+    a, signal, interference = _sinr_terms(channels.rows, beamformers.columns)
     return power_per_user * a * signal / (1.0 + power_per_user * a * interference)
 
 
@@ -198,9 +204,9 @@ class SumRateConfig:
     bits: int = 9
     magnitude_bits: int = 3
     snr_db_grid: tuple = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
-    fdts_grid: tuple = (0.001, 0.04)
+    fdts_grid: tuple = (0.001, 0.01, 0.02, 0.04)
     schemes: tuple = SCHEMES
-    trials: int = 200
+    trials: int = 500
     steps: int = 60
     discard: int = 20
     seed: int = 0
@@ -267,18 +273,12 @@ def _window_mean_rates(true_steps, quantized_steps, powers_per_user, users):
     quantized rows steer the zero-forcing beamformers while the true rows
     set the SINR.
     """
+    a, signal, interference = _sinr_terms(true_steps, _zf_columns(quantized_steps))
+    pa = powers_per_user[:, None] * a[:, None]  # (W, SNR, U)
+    sinr = pa * signal[:, None] / (1.0 + pa * interference[:, None])
     totals = np.zeros(len(powers_per_user))
-    for true_rows, quant_rows in zip(true_steps, quantized_steps):
-        channels = CompositeChannel(true_rows)
-        beams = zf_beamformers(CompositeChannel(quant_rows))
-        a, signal, interference = _sinr_terms(channels, beams)
-        sinr = (
-            powers_per_user[:, None]
-            * a
-            * signal
-            / (1.0 + powers_per_user[:, None] * a * interference)
-        )
-        totals += np.log2(1.0 + sinr).sum(axis=1)
+    for rates in np.log2(1.0 + sinr).sum(axis=2):
+        totals += rates  # use by use, in order: the totals' rounding depends on it
     return totals / len(true_steps)
 
 

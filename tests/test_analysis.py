@@ -19,8 +19,6 @@ from grasspc import (
     closed_loop_gain_db,
     codebook_spacings,
     complex_gaussian,
-    encode_trace,
-    exact_quantizer,
     gen_ar1,
     gpc_bound_reduction,
     gpc_distortion_bounds,
@@ -28,6 +26,7 @@ from grasspc import (
     memoryless_lower_bound,
     memoryless_squared_errors,
     mse_db,
+    predict_one_step,
     rng_stream,
     uniform_magnitude,
 )
@@ -220,8 +219,10 @@ def test_gain_from_chords_matches_gain_from_arcs_when_small():
     # figures coincide; this validates quoting either in reports.
     trace = gen_ar1(Ar1Params(n=4, beta=0.01, steps=2000, seed=2))
     arcs = harvest_open_loop(trace.points).magnitudes()
-    cb = ShapeGainCodebook(best_packing(4, 4, draws=200), uniform_magnitude(2))
-    chords = encode_trace(trace.points, cb, quantizer=exact_quantizer).prediction_errors
+    pts = trace.points
+    chords = [
+        chordal_distance(predict_one_step(a, b), c) for a, b, c in zip(pts, pts[1:], pts[2:])
+    ]
     g_arc = closed_loop_gain(arcs)
     g_chord = closed_loop_gain(chords)
     assert abs(g_chord - g_arc) < 0.05 * g_arc

@@ -162,15 +162,6 @@ def test_harvest_on_exact_geodesic_is_near_zero():
     assert np.max(ts.magnitudes()) < 1e-6  # constant-speed rotation is predictable
 
 
-def test_harvest_closed_loop_stub_matches_open_loop():
-    trace = gen_ar1(Ar1Params(n=3, beta=0.02, steps=150, seed=5))
-    open_ts = harvest_open_loop(trace.points)
-    stub_ts = harvest_closed_loop(trace.points, None)
-    assert len(open_ts) == len(stub_ts)
-    assert np.array_equal(open_ts.magnitudes(), stub_ts.magnitudes())
-    assert np.array_equal(open_ts.directions(), stub_ts.directions())
-
-
 def test_harvest_closed_loop_sees_larger_errors_than_open_loop():
     # With a coarse codebook in the loop the encoder predicts from quantized
     # estimates, so its prediction errors dominate the open-loop ones.
@@ -271,6 +262,12 @@ def test_best_packing_deterministic_and_separated():
     assert a.min_chordal_distance() > 0.4
     with pytest.raises(ValueError):
         best_packing(3, 1)
+    with pytest.raises(ValueError, match="draws"):
+        best_packing(4, 4, draws=0)
+    with pytest.raises(ValueError, match="draws"):
+        best_packing(4, 4, draws=-2)
+    with pytest.raises(ValueError, match="n = 1"):
+        best_packing(1, 4)
 
 
 def full_gram_packing(n, size, seed, draws):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from grasspc import (
+    PROJECTION_COLLAPSE_TOL,
+    ZERO_TANGENT_TOL,
     Ar1Params,
     Ar2Params,
     CodewordIndex,
@@ -13,17 +15,16 @@ from grasspc import (
     GpcState,
     GrassmannPoint,
     ShapeGainCodebook,
+    TangentVector,
     TrackingLostError,
     best_packing,
     chordal_distance,
     decode_trace,
-    direction_only_quantizer,
-    encode_step,
     encode_trace,
-    exact_quantizer,
     exp_map,
     gen_ar1,
     gen_ar2,
+    harvest_closed_loop,
     initialize,
     log_map,
     memoryless_quantize,
@@ -36,6 +37,7 @@ from grasspc import (
     uniform_magnitude,
     write_index_stream,
 )
+from grasspc.codec import _direction_only
 
 
 def small_codebook(n=4, n_d=8, n_m=4, hi=0.6, seed=0):
@@ -182,28 +184,19 @@ def test_direction_only_quantizer_dominates_joint_search():
         predicted, observed = random_point(4, rng), random_point(4, rng)
         if abs(np.vdot(predicted.coords, observed.coords)) < 0.05:
             continue
-        error = log_map(predicted, observed)
-        free_tangent, free_idx = direction_only_quantizer(
-            predicted, observed, cb, error
+        p, o = predicted.coords, observed.coords
+        chord = chordal_distance(predicted, observed)
+        free_tangent = TangentVector(
+            predicted, *_direction_only(p, o, np.vdot(p, o), chord, cb.directions.entries)
         )
-        assert free_idx is None
         joint_idx = quantize_tangent(predicted, observed, cb)
         joint_tangent = reconstruct_codeword(joint_idx, predicted, cb)
         free_d = chordal_distance(exp_map(predicted, free_tangent), observed)
         joint_d = chordal_distance(exp_map(predicted, joint_tangent), observed)
         assert free_d <= joint_d + 1e-12
     trace = gen_ar1(Ar1Params(n=4, beta=0.01, steps=100, seed=6))
-    free = encode_trace(trace.points, cb, quantizer=direction_only_quantizer)
+    free = encode_trace(trace.points, cb, free_magnitude=True)
     assert all(i is None for i in free.indices)
-
-
-def test_exact_quantizer_reproduces_observations():
-    trace = gen_ar1(Ar1Params(n=4, beta=0.01, steps=200, seed=7))
-    cb = small_codebook()
-    res = encode_trace(trace.points, cb, quantizer=exact_quantizer)
-    assert np.max(res.estimate_errors) < 1e-10
-    for est, obs in zip(res.estimates, trace.points[2:]):
-        assert chordal_distance(est, obs) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +360,22 @@ def test_small_angle_quantization_consistency():
     # Euclidean tangent-space distance between error and codeword.
     cb = ShapeGainCodebook(best_packing(4, 64), uniform_magnitude(8, 0.0, 0.5))
     trace = gen_ar1(Ar1Params(n=4, beta=0.01, steps=2000, seed=16))
-    state = initialize(trace.points[0], trace.points[1], cb)
+    # The encoder's prediction at step j extrapolates from the two latest
+    # estimates, the first two of which are the exact seed points.
+    seq = list(trace.points[:2]) + list(encode_trace(trace.points, cb).estimates)
     checked = consistent = 0
-    for obs in trace.points[2:]:
-        err = log_map(state.predicted, obs)
-        idx = quantize_tangent(state.predicted, obs, cb)
-        tangent = reconstruct_codeword(idx, state.predicted, cb)
-        estimate = exp_map(state.predicted, tangent)
+    for j, obs in enumerate(trace.points[2:]):
+        predicted = predict_one_step(seq[j], seq[j + 1])
+        err = log_map(predicted, obs)
+        idx = quantize_tangent(predicted, obs, cb)
+        tangent = reconstruct_codeword(idx, predicted, cb)
+        estimate = exp_map(predicted, tangent)
+        assert np.array_equal(estimate.coords, seq[j + 2].coords)
         if err.magnitude < 0.1:
             checked += 1
             euclid = np.linalg.norm(err.as_ambient() - tangent.as_ambient())
             if abs(chordal_distance(estimate, obs) - euclid) < 0.01:
                 consistent += 1
-        _, state, _ = encode_step(state, obs, cb)
     assert checked > 100
     assert consistent >= 0.99 * checked
 
@@ -434,3 +430,241 @@ def test_index_stream_round_trip(tmp_path):
 def test_index_stream_rejects_reinit_gaps(tmp_path):
     with pytest.raises(ValueError, match="gap"):
         write_index_stream(tmp_path / "s.txt", [CodewordIndex(0, 0), None], 4)
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-step object codec that the array loop replaced
+#
+# Kept verbatim in spirit (same float operations, one object per value) so
+# the array loop can be checked byte for byte against it.  The closed loop
+# is chaotic: a one-ulp difference anywhere decorrelates a session within
+# about a thousand steps, so any reordering of the arithmetic shows here.
+
+
+def ref_projected_directions(entries, base):
+    inners = entries @ base.conj()
+    w = entries - np.outer(inners, base)
+    norms = np.linalg.norm(w, axis=1)
+    keep = norms > PROJECTION_COLLAPSE_TOL
+    out = np.zeros_like(w)
+    out[keep] = w[keep] / norms[keep, None]
+    return out
+
+
+def ref_quantize_tangent(predicted, observed, codebook):
+    base = predicted.coords
+    if chordal_distance(predicted, observed) < ZERO_TANGENT_TOL:
+        return CodewordIndex(0, 0)
+    b = np.vdot(base, observed.coords)
+    s = ref_projected_directions(codebook.directions.entries, base).conj() @ observed.coords
+    m = codebook.magnitudes.entries
+    inner = np.cos(m)[None, :] * b + np.sin(m)[None, :] * s[:, None]
+    return CodewordIndex(*divmod(int(np.argmax(np.abs(inner) ** 2)), m.size))
+
+
+def ref_reconstruct_codeword(index, predicted, codebook):
+    magnitude = float(codebook.magnitudes.entries[index.magnitude_index])
+    if magnitude == 0.0:
+        return TangentVector.zero(predicted)
+    c = codebook.directions.entries[index.direction_index]
+    base = predicted.coords
+    w = c - np.vdot(base, c) * base
+    wn = np.linalg.norm(w)
+    if wn < PROJECTION_COLLAPSE_TOL:
+        return TangentVector.zero(predicted)
+    return TangentVector(predicted, magnitude, w / wn)
+
+
+def ref_direction_only_quantizer(predicted, observed, codebook, error):
+    if error.is_zero:
+        return TangentVector.zero(predicted), None
+    base = predicted.coords
+    b = np.vdot(base, observed.coords)
+    proj = ref_projected_directions(codebook.directions.entries, base)
+    s = proj.conj() @ observed.coords
+    bb = abs(b) ** 2
+    ss = np.abs(s) ** 2
+    cross = (np.conj(b) * s).real
+    m_best = np.where(
+        cross >= 0.0,
+        0.5 * np.arctan2(2.0 * cross, bb - ss),
+        np.where(bb >= ss, 0.0, np.pi / 2),
+    )
+    score = np.where(
+        cross >= 0.0,
+        0.5 * (bb + ss) + np.hypot(0.5 * (bb - ss), cross),
+        np.maximum(bb, ss),
+    )
+    d_idx = int(np.argmax(score))
+    magnitude = float(min(m_best[d_idx], np.pi / 2))
+    if magnitude <= ZERO_TANGENT_TOL or np.linalg.norm(proj[d_idx]) == 0.0:
+        return TangentVector.zero(predicted), None
+    return TangentVector(predicted, magnitude, proj[d_idx]), None
+
+
+def ref_initialize(x0, x1, codebook, mode):
+    if mode == "exact":
+        return GpcState(x0, x1, predict_one_step(x0, x1), 2)
+    _, q0 = memoryless_quantize(x0, codebook.directions)
+    scores = np.abs(codebook.directions.entries.conj() @ x1.coords) ** 2
+    for i1 in np.argsort(-scores, kind="stable"):
+        q1 = GrassmannPoint.from_vector(codebook.directions.entries[i1])
+        try:
+            return GpcState(q0, q1, predict_one_step(q0, q1), 2)
+        except CutLocusError:
+            pass
+    raise CutLocusError(0.0, "no codeword for the second point can seed the predictor")
+
+
+def ref_advance(state, estimate):
+    try:
+        predicted = predict_one_step(state.est_curr, estimate)
+    except CutLocusError as exc:
+        raise TrackingLostError(exc.rho_abs, state.time) from exc
+    return GpcState(state.est_curr, estimate, predicted, state.time + 1)
+
+
+def ref_encode_step(state, observed, codebook, quantizer=None):
+    try:
+        error = log_map(state.predicted, observed)
+    except CutLocusError as exc:
+        raise TrackingLostError(exc.rho_abs, state.time) from exc
+    if quantizer is None:
+        index = ref_quantize_tangent(state.predicted, observed, codebook)
+        tangent = ref_reconstruct_codeword(index, state.predicted, codebook)
+    else:
+        tangent, index = quantizer(state.predicted, observed, codebook, error)
+    estimate = exp_map(state.predicted, tangent)
+    return index, ref_advance(state, estimate), estimate
+
+
+def ref_decode_step(state, index, codebook):
+    tangent = ref_reconstruct_codeword(index, state.predicted, codebook)
+    estimate = exp_map(state.predicted, tangent)
+    return estimate, ref_advance(state, estimate)
+
+
+def ref_encode_trace(points, codebook, mode, quantizer):
+    """The parent's encode_trace loop with on_track_loss="reinit"."""
+    state = ref_initialize(points[0], points[1], codebook, mode)
+    indices, estimates, pred_err, est_err, reinits = [], [], [], [], 0
+    for j, observed in enumerate(points[2:]):
+        pred_err.append(chordal_distance(state.predicted, observed))
+        try:
+            index, state, estimate = ref_encode_step(state, observed, codebook, quantizer)
+        except TrackingLostError:
+            reinits += 1
+            state = ref_initialize(points[j + 1], observed, codebook, mode)
+            index, estimate = None, state.est_curr
+        indices.append(index)
+        estimates.append(estimate)
+        est_err.append(chordal_distance(estimate, observed))
+    return tuple(indices), estimates, np.array(pred_err), np.array(est_err), state, reinits
+
+
+def ref_harvest_closed_loop(points, codebook):
+    state = ref_initialize(points[0], points[1], codebook, "exact")
+    tangents, skipped = [], 0
+    for k in range(2, len(points)):
+        try:
+            tangents.append(log_map(state.predicted, points[k]))
+            _, state, _ = ref_encode_step(state, points[k], codebook)
+        except CutLocusError:
+            skipped += 1
+            state = ref_initialize(points[k - 1], points[k], codebook, "exact")
+    return tangents, skipped
+
+
+def same_rows(xs, ys):
+    """Byte identity of two sequences of coordinate rows."""
+    xs, ys = list(xs), list(ys)
+    return len(xs) == len(ys) and all(
+        np.asarray(x).tobytes() == np.asarray(y).tobytes() for x, y in zip(xs, ys)
+    )
+
+
+def same_state(a, b):
+    return a.time == b.time and same_rows(
+        (a.est_prev.coords, a.est_curr.coords, a.predicted.coords),
+        (b.est_prev.coords, b.est_curr.coords, b.predicted.coords),
+    )
+
+
+def check_against_reference(points, codebook, mode, free_magnitude):
+    points = list(points)
+    quantizer = ref_direction_only_quantizer if free_magnitude else None
+    indices, estimates, pred_err, est_err, state, reinits = ref_encode_trace(
+        points, codebook, mode, quantizer
+    )
+    res = encode_trace(points, codebook, mode, free_magnitude, on_track_loss="reinit")
+    assert res.indices == indices
+    assert same_rows([e.coords for e in res.estimates], [e.coords for e in estimates])
+    assert same_rows([res.prediction_errors], [pred_err])
+    assert same_rows([res.estimate_errors], [est_err])
+    assert same_state(res.state, state)
+    assert res.reinits == reinits
+    if free_magnitude or reinits:
+        return res
+    start = initialize(points[0], points[1], codebook, mode)
+    decoded, final = decode_trace(start, res.indices, codebook)
+    ref_state, ref_decoded = ref_initialize(points[0], points[1], codebook, mode), []
+    for index in indices:
+        estimate, ref_state = ref_decode_step(ref_state, index, codebook)
+        ref_decoded.append(estimate)
+    assert same_rows([e.coords for e in decoded], [e.coords for e in ref_decoded])
+    assert same_state(final, ref_state)
+    return res
+
+
+def check_harvest_against_reference(points, codebook):
+    points = list(points)
+    tangents, skipped = ref_harvest_closed_loop(points, codebook)
+    ts = harvest_closed_loop(points, codebook)
+    assert ts.skipped == skipped
+    assert same_rows([ts.magnitudes()], [np.array([t.magnitude for t in tangents])])
+    assert same_rows([t.direction for t in ts.tangents], [t.direction for t in tangents])
+    assert same_rows([t.base.coords for t in ts.tangents], [t.base.coords for t in tangents])
+
+
+@pytest.mark.parametrize("beta", [0.001, 0.04])
+@pytest.mark.parametrize("mode", ["exact", "memoryless"])
+@pytest.mark.parametrize("free_magnitude", [False, True])
+def test_array_loop_matches_object_reference(beta, mode, free_magnitude):
+    cb = ShapeGainCodebook(best_packing(4, 64), uniform_magnitude(8))
+    trace = gen_ar1(Ar1Params(n=4, beta=beta, steps=400, seed=21))
+    check_against_reference(trace.points, cb, mode, free_magnitude)
+    if mode == "exact" and not free_magnitude:
+        check_harvest_against_reference(trace.points, cb)
+
+
+@pytest.mark.parametrize("free_magnitude", [False, True])
+def test_array_loop_matches_reference_through_track_loss(free_magnitude):
+    # The third point is orthogonal to the prediction e2: the encoder
+    # re-seeds, and the harvest skips that step's tangent.
+    cb = small_codebook(n=3, n_d=4, n_m=2)
+    points = [
+        basis(3, 0),
+        GrassmannPoint.from_vector([1.0, 1.0, 0.0]),
+        basis(3, 0),
+        GrassmannPoint.from_vector([1.0, 0.2, 0.1]),
+        GrassmannPoint.from_vector([1.0, 0.3, 0.1]),
+    ]
+    res = check_against_reference(points, cb, "exact", free_magnitude)
+    assert res.reinits == 1 and res.indices[0] is None
+    check_harvest_against_reference(points, cb)
+
+
+@pytest.mark.parametrize("mode", ["exact", "memoryless"])
+@pytest.mark.parametrize("free_magnitude", [False, True])
+def test_array_loop_matches_reference_on_repeated_point(mode, free_magnitude):
+    # A stationary start makes the prediction coincide with the observation:
+    # the joint search short-circuits to (0, 0), whose magnitude is nonzero.
+    cb = ShapeGainCodebook(best_packing(4, 64), uniform_magnitude(8))
+    assert cb.magnitudes.entries[0] > 0.0
+    trace = gen_ar1(Ar1Params(n=4, beta=0.01, steps=60, seed=22))
+    x = trace.points[0]
+    res = check_against_reference([x, x, x] + list(trace.points), cb, mode, free_magnitude)
+    if mode == "exact" and not free_magnitude:
+        assert res.indices[0] == CodewordIndex(0, 0)
+        assert res.estimate_errors[0] > 0.0
+        check_harvest_against_reference([x, x, x] + list(trace.points), cb)

@@ -124,7 +124,7 @@ def test_quantized_csi_leaves_residual_interference():
     beams = zf_beamformers(perturbed)  # steered by imperfect CSI
     _, signal, interference = __import__(
         "grasspc.mumimo", fromlist=["_sinr_terms"]
-    )._sinr_terms(ch, beams)
+    )._sinr_terms(ch.rows, beams.columns)
     assert np.all(interference > 0.0)
     true_beams = zf_beamformers(ch)
     sinr_true = per_user_sinr(ch, true_beams, 20.0)
