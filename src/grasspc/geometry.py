@@ -75,15 +75,31 @@ class CutLocusError(ArithmeticError):
         )
 
 
-def _as_unit_vector(values, what: str) -> np.ndarray:
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a complex vector, bit-identical to ``np.linalg.norm``.
+
+    Same arithmetic as numpy's 1-D fast path without its per-call dispatch,
+    which dominates the cost for the short vectors handled here.
+    """
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _as_vector(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be a 1-D complex vector, got shape {arr.shape}")
     if arr.size < 2:
         raise ValueError(f"{what} needs ambient dimension n >= 2, got n = {arr.size}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} contains non-finite entries")
     return arr
+
+
+def _check_finite(arr: np.ndarray, norm: float, what: str):
+    # A finite norm (or squared norm) of ``arr`` proves every entry finite;
+    # only an inf/nan one, which overflow of huge finite entries can also
+    # give, needs the entrywise test.
+    if not math.isfinite(norm) and not np.isfinite(arr).all():
+        raise ValueError(f"{what} contains non-finite entries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,8 +113,10 @@ class GrassmannPoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        arr = _as_unit_vector(self.coords, "GrassmannPoint.coords").copy()
-        nrm = math.sqrt(np.vdot(arr, arr).real)  # cheaper than np.linalg.norm
+        arr = _as_vector(self.coords, "GrassmannPoint.coords").copy()
+        sq = np.vdot(arr, arr).real
+        _check_finite(arr, sq, "GrassmannPoint.coords")
+        nrm = math.sqrt(sq)
         if abs(nrm - 1.0) > UNIT_NORM_TOL:
             raise ValueError(
                 f"representative must be unit norm within {UNIT_NORM_TOL:.0e}; "
@@ -108,10 +126,25 @@ class GrassmannPoint:
         object.__setattr__(self, "coords", arr)
 
     @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "GrassmannPoint":
+        """Adopt a fresh unit vector computed in this module, unchecked.
+
+        For results of the form ``v / ||v||`` where ``v`` is finite and, by
+        construction, of moderate norm, so the quotient is unit norm to
+        rounding; re-running the input checks on them would cost more than
+        the operation itself.  Arbitrary input goes through ``from_vector``.
+        """
+        arr.flags.writeable = False
+        point = object.__new__(cls)
+        object.__setattr__(point, "coords", arr)
+        return point
+
+    @classmethod
     def from_vector(cls, values) -> "GrassmannPoint":
         """Normalize an arbitrary nonzero vector onto the manifold."""
-        arr = _as_unit_vector(values, "vector")
-        nrm = np.linalg.norm(arr)
+        arr = _as_vector(values, "vector")
+        nrm = _norm(arr)
+        _check_finite(arr, nrm, "vector")
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return cls(arr / nrm)
@@ -147,7 +180,7 @@ class TangentVector:
 
     def __post_init__(self):
         mag = float(self.magnitude)
-        if not np.isfinite(mag) or mag < 0.0 or mag > np.pi / 2 + 1e-12:
+        if not math.isfinite(mag) or mag < 0.0 or mag > np.pi / 2 + 1e-12:
             raise ValueError(f"magnitude must lie in [0, pi/2], got {mag!r}")
         object.__setattr__(self, "magnitude", mag)
         arr = np.asarray(self.direction, dtype=np.complex128).copy()
@@ -171,6 +204,21 @@ class TangentVector:
                 )
         arr.flags.writeable = False
         object.__setattr__(self, "direction", arr)
+
+    @classmethod
+    def _wrap(cls, base: GrassmannPoint, magnitude: float, direction: np.ndarray) -> "TangentVector":
+        """Adopt a tangent computed in this module, unchecked.
+
+        ``magnitude`` is an arctan of a non-negative ratio and ``direction``
+        comes fresh from ``_orthonormal_direction`` (or is all zeros with a
+        zero magnitude), so both meet the invariants by construction.
+        """
+        direction.flags.writeable = False
+        tangent = object.__new__(cls)
+        object.__setattr__(tangent, "base", base)
+        object.__setattr__(tangent, "magnitude", magnitude)
+        object.__setattr__(tangent, "direction", direction)
+        return tangent
 
     @classmethod
     def zero(cls, base: GrassmannPoint) -> "TangentVector":
@@ -208,7 +256,7 @@ def _chord_from_coords(xc: np.ndarray, yc: np.ndarray) -> float:
     # Nearly coincident lines: 1 - |rho|^2 cancels catastrophically and has a
     # ~sqrt(eps) noise floor, but d = |rho| * ||y/rho - x|| is exact in the
     # same regime, keeping small distances accurate to ~1e-15.
-    return float(a * np.linalg.norm(yc / rho - xc))
+    return float(a * _norm(yc / rho - xc))
 
 
 def chordal_distance(x: GrassmannPoint, y: GrassmannPoint) -> float:
@@ -230,9 +278,9 @@ def _orthonormal_direction(raw: np.ndarray, base: np.ndarray) -> np.ndarray:
     # Explicitly re-project against the base: for nearly coincident points the
     # raw difference vector is produced by catastrophic cancellation and its
     # residual component along the base can exceed ORTHOGONALITY_TOL.
-    unit = raw / np.linalg.norm(raw)
+    unit = raw / _norm(raw)
     unit = unit - base * np.vdot(base, unit)
-    return unit / np.linalg.norm(unit)
+    return unit / _norm(unit)
 
 
 def _log_coords(base: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -242,7 +290,7 @@ def _log_coords(base: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray
     if a <= RHO_MIN:
         raise CutLocusError(a)
     w = target / rho - base
-    wn = float(np.linalg.norm(w))
+    wn = _norm(w)
     # ||w|| = d / |rho| exactly, so d = |rho| ||w|| and the arc length is
     # arctan(||w||); both stay fully accurate for nearly coincident pairs.
     if a * wn < ZERO_TANGENT_TOL:
@@ -258,13 +306,13 @@ def log_map(base: GrassmannPoint, target: GrassmannPoint) -> TangentVector:
     tangent, and |rho| <= RHO_MIN raises :class:`CutLocusError`.
     """
     _check_pair(base, target)
-    return TangentVector(base, *_log_coords(base.coords, target.coords))
+    return TangentVector._wrap(base, *_log_coords(base.coords, target.coords))
 
 
 def _geodesic_coords(base: np.ndarray, direction: np.ndarray, angle: float) -> np.ndarray:
     """:func:`exp_map` on plain rows, for arc length ``angle``."""
     v = base * np.cos(angle) + direction * np.sin(angle)
-    return v / np.linalg.norm(v)
+    return v / _norm(v)
 
 
 def exp_map(base: GrassmannPoint, tangent: TangentVector, t: float = 1.0) -> GrassmannPoint:
@@ -282,7 +330,9 @@ def exp_map(base: GrassmannPoint, tangent: TangentVector, t: float = 1.0) -> Gra
         raise ValueError(f"t must be a finite non-negative scalar, got {t!r}")
     if tangent.is_zero or t == 0.0:
         return GrassmannPoint(base.coords)
-    return GrassmannPoint(_geodesic_coords(base.coords, tangent.direction, tangent.magnitude * t))
+    return GrassmannPoint._wrap(
+        _geodesic_coords(base.coords, tangent.direction, tangent.magnitude * t)
+    )
 
 
 def parallel_transport(x1: GrassmannPoint, x2: GrassmannPoint) -> TangentVector:
@@ -299,12 +349,12 @@ def parallel_transport(x1: GrassmannPoint, x2: GrassmannPoint) -> TangentVector:
     if a <= RHO_MIN:
         raise CutLocusError(a)
     u = x2.coords * np.conj(rho) - x1.coords
-    un = float(np.linalg.norm(u))
+    un = _norm(u)
     # ||u|| = d exactly; the ratio keeps precision for small separations.
     if un < ZERO_TANGENT_TOL:
         return TangentVector.zero(x2)
     magnitude = float(np.arctan(un / a))
-    return TangentVector(x2, magnitude, _orthonormal_direction(u, x2.coords))
+    return TangentVector._wrap(x2, magnitude, _orthonormal_direction(u, x2.coords))
 
 
 def _predict_coords(x_prev: np.ndarray, x_curr: np.ndarray) -> np.ndarray:
@@ -314,7 +364,7 @@ def _predict_coords(x_prev: np.ndarray, x_curr: np.ndarray) -> np.ndarray:
     if a <= RHO_MIN:
         raise CutLocusError(a)
     v = (a + np.conj(rho)) * x_curr - x_prev
-    return v / np.linalg.norm(v)
+    return v / _norm(v)
 
 
 def predict_one_step(x_prev: GrassmannPoint, x_curr: GrassmannPoint) -> GrassmannPoint:
@@ -328,7 +378,7 @@ def predict_one_step(x_prev: GrassmannPoint, x_curr: GrassmannPoint) -> Grassman
     d(x_curr, x_tilde) = d(x_prev, x_curr).
     """
     _check_pair(x_prev, x_curr)
-    return GrassmannPoint(_predict_coords(x_prev.coords, x_curr.coords))
+    return GrassmannPoint._wrap(_predict_coords(x_prev.coords, x_curr.coords))
 
 
 def sequence_correlation(xs, ys, lag: int) -> float:
@@ -351,5 +401,6 @@ def sequence_correlation(xs, ys, lag: int) -> float:
 
 def random_point(n: int, rng: np.random.Generator) -> GrassmannPoint:
     """Draw a point uniformly (Haar) on G(n, 1)."""
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return GrassmannPoint.from_vector(v)
+    v = _as_vector(rng.standard_normal(n) + 1j * rng.standard_normal(n), "vector")
+    # A Gaussian draw is finite and of moderate norm: v / ||v|| is unit to rounding.
+    return GrassmannPoint._wrap(v / _norm(v))

@@ -377,3 +377,25 @@ def test_random_point_unit_norm_and_deterministic():
     b = random_point(5, rng_stream(21, 1))
     assert abs(np.linalg.norm(a.coords) - 1.0) < 1e-12
     assert np.array_equal(a.coords, b.coords)
+
+
+def test_operation_outputs_pass_the_constructor_checks():
+    # Operations adopt the points and tangents they compute without running
+    # the constructor checks again; the checked constructors must accept every
+    # one of them unchanged, including nearly coincident and identical pairs.
+    rng = rng_stream(23)
+    for n in (2, 3, 8):
+        for scale in (1.0, 1e-6, 1e-11, 0.0):
+            x, d = correlated_pair(n, rng)
+            y = GrassmannPoint.from_vector(x.coords + scale * d.coords)
+            tangents = [log_map(x, y), parallel_transport(x, y)]
+            points = [random_point(n, rng), predict_one_step(x, y)]
+            points += [exp_map(x, tangents[0], t) for t in (0.5, 1.0, 1.7)]
+            for p in points:
+                assert not p.coords.flags.writeable
+                assert np.array_equal(GrassmannPoint(p.coords).coords, p.coords)
+            for e in tangents:
+                assert not e.direction.flags.writeable
+                rebuilt = TangentVector(e.base, e.magnitude, e.direction)
+                assert rebuilt.magnitude == e.magnitude
+                assert np.array_equal(rebuilt.direction, e.direction)
