@@ -1,6 +1,6 @@
 """Command-line experiment driver.
 
-``grasspc <command> --config <path> --seed <u64> [--threads N] --out <path>``
+``grasspc <command> --config <path> --seed <u64> --out <path>``
 
 Commands: ``train`` (two-stage codebook training), ``distortion``
 (operational distortion vs. closed-form bounds), ``gains`` (closed-loop
@@ -48,7 +48,7 @@ from .codebooks import (
     uniform_magnitude,
 )
 from .codec import encode_trace
-from .mumimo import SumRateConfig, run_sumrate_experiment
+from .mumimo import SumRateConfig, SumRateTableRow, run_sumrate_experiment
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main"]
 
@@ -107,66 +107,65 @@ def _list_of(item_parser):
     return parse
 
 
+_PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float, str: _parse_str}
+
+
 def _parser_for(default):
     """The parser for values of the default's type (tuples parse as lists)."""
     if isinstance(default, tuple):
         return _list_of(_parser_for(default[0]))
-    return {int: _parse_int, float: _parse_float, str: _parse_str}[type(default)]
+    return _PARSERS[type(default)]
 
 
-_MODEL_KEYS = {
-    "model": (_parse_str, "ar1"),
-    "n": (_parse_int, 4),
-    "steps": (_parse_int, 10_000),
-    "beta": (_parse_float, 0.01),
-    "a1": (_parse_float, 0.9),
-    "a2": (_parse_float, 0.75),
-    "noise_std": (_parse_float, 0.01),
-}
+# The channel keys each model reads; setting another model's key is an error.
+_MODEL_ONLY = {"ar1": ("beta",), "ar2": ("a1", "a2", "noise_std")}
 
+_MODEL_KEYS = dict(model="ar1", n=4, steps=10_000, beta=0.01, a1=0.9, a2=0.75, noise_std=0.01)
+
+# Each command's keys and defaults; a key's parser follows its default's type.
 _SCHEMAS: dict[str, dict] = {
     "gen-trace": dict(_MODEL_KEYS),
-    "train": {
-        **_MODEL_KEYS,
-        "n_d": (_parse_int, 16),
-        "n_m": (_parse_int, 8),
-        "lloyd_iters": (_parse_int, 100),
-        "min_magnitude": (_parse_float, 0.0),
-    },
+    "train": {**_MODEL_KEYS, "n_d": 16, "n_m": 8, "lloyd_iters": 100, "min_magnitude": 0.0},
     "distortion": {
-        "n": (_parse_int, 3),
-        "a1": (_parse_float, 0.9),
-        "a2": (_parse_float, 0.75),
-        "noise_std": (_parse_float, 0.01),
-        "n_d": (_parse_int, 16),
-        "n_m_grid": (_list_of(_parse_int), (4, 8, 16, 32)),
-        "steps": (_parse_int, 10_000),
-        "trials": (_parse_int, 10),
+        "n": 3,
+        "a1": 0.9,
+        "a2": 0.75,
+        "noise_std": 0.01,
+        "n_d": 16,
+        "n_m_grid": (4, 8, 16, 32),
+        "steps": 10_000,
+        "trials": 10,
     },
     "gains": {
-        "n": (_parse_int, 4),
-        "n_d": (_parse_int, 64),
-        "n_m_grid": (_list_of(_parse_int), (4, 8, 16, 32)),
-        "beta_grid": (_list_of(_parse_float), (0.001, 0.01, 0.02, 0.04)),
-        "steps": (_parse_int, 6_000),
-        "trials": (_parse_int, 8),
-        "include_unquantized": (_parse_bool, True),
+        "n": 4,
+        "n_d": 64,
+        "n_m_grid": (4, 8, 16, 32),
+        "beta_grid": (0.001, 0.01, 0.02, 0.04),
+        "steps": 6_000,
+        "trials": 8,
+        "include_unquantized": True,
     },
     "mse": {
-        "n": (_parse_int, 4),
-        "bits": (_parse_int, 9),
-        "magnitude_bits": (_parse_int, 3),
-        "memoryless_bits_grid": (_list_of(_parse_int), (6, 9)),
-        "beta_grid": (_list_of(_parse_float), (0.001, 0.01, 0.02, 0.04)),
-        "steps": (_parse_int, 10_000),
-        "trials": (_parse_int, 20),
+        "n": 4,
+        "bits": 9,
+        "magnitude_bits": 3,
+        "memoryless_bits_grid": (6, 9),
+        "beta_grid": (0.001, 0.01, 0.02, 0.04),
+        "steps": 10_000,
+        "trials": 20,
     },
     # SumRateConfig is the one source of these defaults; the seed is --seed.
-    "sumrate": {
-        f.name: (_parser_for(f.default), f.default)
-        for f in dataclasses.fields(SumRateConfig)
-        if f.name != "seed"
-    },
+    "sumrate": {f.name: f.default for f in dataclasses.fields(SumRateConfig) if f.name != "seed"},
+}
+
+# Bounds that no library object checks before the run:
+# (key, least value, whether each value must be a power of two).
+_BOUNDS = {
+    "train": (("n_d", 1, True), ("n_m", 1, True), ("lloyd_iters", 1, False), ("steps", 4, False)),
+    # The closed-form bounds need two codewords on each side.
+    "distortion": (("n_d", 2, True), ("n_m_grid", 2, True), ("trials", 1, False)),
+    "gains": (("n_d", 2, True), ("n_m_grid", 1, True), ("trials", 1, False)),
+    "mse": (("magnitude_bits", 0, False), ("memoryless_bits_grid", 1, False), ("trials", 1, False)),
 }
 
 
@@ -177,7 +176,6 @@ class ExperimentConfig:
     command: str
     options: dict
     seed: int
-    threads: int
     out: str
     config_sha256: str
     argv: tuple
@@ -187,78 +185,52 @@ class ExperimentConfig:
             raise ConfigError(f"unknown command {self.command!r}; choose from {COMMANDS}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
 
-def _require_pow2(options: dict, *keys: str):
-    for key in keys:
+def _validate(command: str, options: dict, explicit: set):
+    """Check the CLI-only bounds, then build the library objects the command
+    runs on, whose constructors check every other value."""
+    if "model" in options:
+        if options["model"] not in _MODEL_ONLY:
+            raise ConfigError(f"model must be 'ar1' or 'ar2', got {options['model']!r}")
+        foreign = [k for m, keys in _MODEL_ONLY.items() if m != options["model"] for k in keys]
+        for key in foreign:
+            if key in explicit:
+                raise ConfigError(f"key '{key}' does not apply to model = {options['model']}")
+    for key, least, pow2 in _BOUNDS.get(command, ()):
         values = options[key] if isinstance(options[key], tuple) else (options[key],)
         for value in values:
-            if not _is_pow2(value):
-                raise ConfigError(f"{key} entries must be powers of two, got {value}")
+            if value < least or (pow2 and not _is_pow2(value)):
+                kind = "powers of two " if pow2 else ""
+                raise ConfigError(f"{key} must be {kind}>= {least}, got {value}")
+    if command == "mse" and options["bits"] <= options["magnitude_bits"]:
+        raise ConfigError(
+            f"bits ({options['bits']}) must exceed magnitude_bits ({options['magnitude_bits']})"
+        )
+    if "beta_grid" in options and min(options["beta_grid"]) <= 0.0:
+        raise ConfigError("beta_grid values must be positive")
 
-
-def _validate_model(options: dict, explicit: set):
-    if options["model"] not in ("ar1", "ar2"):
-        raise ConfigError(f"model must be 'ar1' or 'ar2', got {options['model']!r}")
-    foreign = {"ar1": ("a1", "a2", "noise_std"), "ar2": ("beta",)}[options["model"]]
-    for key in foreign:
-        if key in explicit:
-            raise ConfigError(f"key '{key}' does not apply to model = {options['model']}")
-    if options["n"] < 2:
-        raise ConfigError(f"n must be >= 2, got {options['n']}")
-    if options["steps"] < 3:
-        raise ConfigError(f"steps must be >= 3, got {options['steps']}")
-
-
-def _validate_options(command: str, options: dict, explicit: set):
-    if command in ("gen-trace", "train"):
-        _validate_model(options, explicit)
-    if command == "train":
-        _require_pow2(options, "n_d", "n_m")
-        if options["steps"] < 4:
-            raise ConfigError("training needs steps >= 4 to harvest at least one tangent")
-    if command == "distortion":
-        _require_pow2(options, "n_d", "n_m_grid")
-        # The closed-form bounds need two codewords on each side.
-        if options["n_d"] < 2 or min(options["n_m_grid"]) < 2:
-            raise ConfigError("n_d and n_m_grid entries must be >= 2")
-        if options["n"] < 2:
-            raise ConfigError(f"n must be >= 2, got {options['n']}")
-        if options["trials"] < 1 or options["steps"] < 3:
-            raise ConfigError("need trials >= 1 and steps >= 3")
-    if command == "gains":
-        _require_pow2(options, "n_d", "n_m_grid")
-        if options["n_d"] < 2:
-            raise ConfigError(f"n_d must be >= 2 for a packing, got {options['n_d']}")
-        if min(options["beta_grid"]) <= 0:
-            raise ConfigError("beta_grid values must be positive")
-        if options["trials"] < 1 or options["steps"] < 3:
-            raise ConfigError("need trials >= 1 and steps >= 3")
-    if command == "mse":
-        if options["bits"] <= options["magnitude_bits"] or options["magnitude_bits"] < 0:
-            raise ConfigError(
-                f"bits ({options['bits']}) must exceed magnitude_bits "
-                f"({options['magnitude_bits']}), which must be >= 0"
-            )
-        if min(options["memoryless_bits_grid"]) < 1:
-            raise ConfigError("memoryless_bits_grid values must be >= 1")
-        if min(options["beta_grid"]) <= 0:
-            raise ConfigError("beta_grid values must be positive")
-        if options["trials"] < 1 or options["steps"] < 3:
-            raise ConfigError("need trials >= 1 and steps >= 3")
     if command == "sumrate":
-        try:
-            options["sumrate_config"] = SumRateConfig(
-                **{key: options[key] for key in _SCHEMAS["sumrate"]}
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        options["sumrate_config"] = SumRateConfig(**{k: options[k] for k in _SCHEMAS[command]})
+        return
+    # The parameters of the command's traces, at seed 0; each trace replaces the seed.
+    n, steps = options["n"], options["steps"]
+    if "beta_grid" in options:
+        options["trace_params"] = tuple(
+            Ar1Params(n=n, beta=beta, steps=steps, seed=0) for beta in options["beta_grid"]
+        )
+    elif options.get("model") == "ar1":
+        options["trace_params"] = Ar1Params(n=n, beta=options["beta"], steps=steps, seed=0)
+    else:  # model = ar2, or [distortion], which is always second-order
+        a1, a2, noise_std = options["a1"], options["a2"], options["noise_std"]
+        options["trace_params"] = Ar2Params(n, a1, a2, noise_std, steps, seed=0)
 
 
-def load_config(command: str, path, seed: int, threads: int, out, argv=()) -> ExperimentConfig:
-    """Read and validate the command's section of an INI config file."""
+def load_config(command: str, path, seed: int, threads, out, argv=()) -> ExperimentConfig:
+    """Read and validate the command's section of an INI config file.
+
+    ``threads`` is ignored: every command runs single-threaded.
+    """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
     try:
@@ -282,25 +254,26 @@ def load_config(command: str, path, seed: int, threads: int, out, argv=()) -> Ex
         raise ConfigError(f"config file {path} has no [{command}] section")
 
     schema = _SCHEMAS[command]
-    options = {key: default for key, (_, default) in schema.items()}
+    options = dict(schema)
     explicit = set()
     for key, text in parser.items(command):
         if key not in schema:
             raise ConfigError(
                 f"unknown key '{key}' in [{command}]; valid keys: {sorted(schema)}"
             )
-        item_parser = schema[key][0]
         try:
-            options[key] = item_parser(text)
+            options[key] = _parser_for(schema[key])(text)
         except ConfigError as exc:
             raise ConfigError(f"[{command}] {key}: {exc}") from None
         explicit.add(key)
-    _validate_options(command, options, explicit)
+    try:
+        _validate(command, options, explicit)
+    except ValueError as exc:
+        raise ConfigError(f"[{command}] {exc}") from None
     return ExperimentConfig(
         command=command,
         options=options,
         seed=seed,
-        threads=threads,
         out=str(out),
         config_sha256=hashlib.sha256(raw_bytes).hexdigest(),
         argv=tuple(argv),
@@ -311,25 +284,19 @@ def load_config(command: str, path, seed: int, threads: int, out, argv=()) -> Ex
 # Shared helpers
 
 
-def _child_seed(seed: int, *key: int) -> int:
-    """A derived 63-bit stream seed, deterministic in (seed, key)."""
-    return int(rng_stream(seed, *key).integers(0, 2**63))
+def _trace(params, seed: int):
+    """The trace of ``params`` (AR(1) or AR(2)) at ``seed``."""
+    generate = gen_ar1 if isinstance(params, Ar1Params) else gen_ar2
+    return generate(dataclasses.replace(params, seed=seed))
 
 
-def _model_trace(options: dict, seed: int, steps: int | None = None):
-    steps = options["steps"] if steps is None else steps
-    if options["model"] == "ar1":
-        return gen_ar1(Ar1Params(n=options["n"], beta=options["beta"], steps=steps, seed=seed))
-    return gen_ar2(
-        Ar2Params(
-            n=options["n"],
-            a1=options["a1"],
-            a2=options["a2"],
-            noise_std=options["noise_std"],
-            steps=steps,
-            seed=seed,
-        )
-    )
+def _traces(params, seed: int, tag: int, trials: int) -> list:
+    """``trials`` traces of ``params``, each at a 63-bit seed derived from
+    (seed, tag, trial)."""
+    return [
+        _trace(params, int(rng_stream(seed, tag, trial).integers(0, 2**63)))
+        for trial in range(trials)
+    ]
 
 
 def _write_csv(config: ExperimentConfig, columns, rows):
@@ -350,9 +317,18 @@ def _write_csv(config: ExperimentConfig, columns, rows):
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def _pooled_mse_db(squared_errors) -> float:
-    mean = float(np.mean(np.concatenate(squared_errors)))
+def _db(mean: float) -> float:
     return -math.inf if mean == 0.0 else 10.0 * math.log10(mean)
+
+
+def _pooled_mse(traces, codebook, errors="estimate_errors", **kwargs) -> float:
+    """Mean squared chordal ``errors`` of the closed loop, re-initialized on
+    track loss, pooled over ``traces``."""
+    squared = []
+    for t in traces:
+        run = encode_trace(t.points, codebook, on_track_loss="reinit", **kwargs)
+        squared.append(getattr(run, errors) ** 2)
+    return float(np.mean(np.concatenate(squared)))
 
 
 def _train_two_stage(trace, options: dict, seed: int, log=lambda line: None):
@@ -366,12 +342,13 @@ def _train_two_stage(trace, options: dict, seed: int, log=lambda line: None):
     codebook, stage-2 codebook).
     """
     n, n_d, n_m, iters = options["n"], options["n_d"], options["n_m"], options["lloyd_iters"]
+    min_magnitude = options["min_magnitude"]
     ts1 = harvest_open_loop(trace.points)
     log(
         f"stage 1: {len(ts1)} open-loop tangents harvested "
         f"({ts1.skipped} skipped at the cut locus)"
     )
-    if ts1.directions(options.get("min_magnitude", 0.0)).shape[0] < n_d:
+    if ts1.directions(min_magnitude).shape[0] < n_d:
         log(
             "warning: too few usable direction samples (stationary trace?); "
             "falling back to a random-packing direction codebook"
@@ -379,12 +356,7 @@ def _train_two_stage(trace, options: dict, seed: int, log=lambda line: None):
         directions = best_packing(n, n_d)
     else:
         directions, dir_hist = lloyd_direction(
-            ts1,
-            n_d,
-            iters,
-            seed,
-            min_magnitude=options.get("min_magnitude", 0.0),
-            return_history=True,
+            ts1, n_d, iters, seed, min_magnitude=min_magnitude, return_history=True
         )
         log(
             f"stage 1: direction distortion {dir_hist[-1]:.6g} "
@@ -413,33 +385,23 @@ def _train_two_stage(trace, options: dict, seed: int, log=lambda line: None):
     return stage1, stage2
 
 
-def _closed_loop_mse_db(points, codebook: ShapeGainCodebook) -> float:
-    result = encode_trace(points, codebook, mode="exact", on_track_loss="reinit")
-    return _pooled_mse_db([result.estimate_errors**2])
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
 
 def cmd_gen_trace(config: ExperimentConfig):
     options = config.options
-    trace = _model_trace(options, config.seed)
-    extra = {"model_" + k: options[k] for k in ("beta",) if options["model"] == "ar1"}
-    if options["model"] == "ar2":
-        extra = {"model_" + k: options[k] for k in ("a1", "a2", "noise_std")}
+    trace = _trace(options["trace_params"], config.seed)
+    extra = {"model_" + k: options[k] for k in _MODEL_ONLY[options["model"]]}
     save_trace(trace, config.out, model=options["model"], seed=config.seed, extra=extra)
     print(f"wrote {len(trace)} x {trace.n} {options['model']} trace to {config.out}")
 
 
 def cmd_train(config: ExperimentConfig):
-    options = config.options
-    trace = _model_trace(options, config.seed)
-    stage1, stage2 = _train_two_stage(trace, options, config.seed, log=print)
-    mse1 = _closed_loop_mse_db(trace.points, stage1)
-    mse2 = _closed_loop_mse_db(trace.points, stage2)
-    print(f"stage 1: training-trace tracking error {mse1:.3f} dB")
-    print(f"stage 2: training-trace tracking error {mse2:.3f} dB")
+    trace = _trace(config.options["trace_params"], config.seed)
+    stage1, stage2 = _train_two_stage(trace, config.options, config.seed, log=print)
+    print(f"stage 1: training-trace tracking error {_db(_pooled_mse([trace], stage1)):.3f} dB")
+    print(f"stage 2: training-trace tracking error {_db(_pooled_mse([trace], stage2)):.3f} dB")
     save_codebook(stage2, config.out)
     print(
         f"wrote {stage2.directions.size} x {stage2.magnitudes.size} codeword "
@@ -455,136 +417,62 @@ def cmd_distortion(config: ExperimentConfig):
     closed-form functions of the grid.
     """
     options = config.options
-    n, n_d = options["n"], options["n_d"]
-    model = {
-        "model": "ar2",
-        "n": n,
-        "a1": options["a1"],
-        "a2": options["a2"],
-        "noise_std": options["noise_std"],
-    }
-    directions = best_packing(n, n_d)
-    traces = [
-        _model_trace(model, _child_seed(config.seed, 0xE7, trial), options["steps"])
-        for trial in range(options["trials"])
-    ]
+    n = options["n"]
+    directions = best_packing(n, options["n_d"])
+    traces = _traces(options["trace_params"], config.seed, 0xE7, options["trials"])
     rows = []
     for n_m in options["n_m_grid"]:
         codebook = ShapeGainCodebook(directions, uniform_magnitude(n_m))
-        squared = [
-            encode_trace(t.points, codebook, mode="exact", on_track_loss="reinit")
-            .estimate_errors
-            ** 2
-            for t in traces
-        ]
-        operational = float(np.mean(np.concatenate(squared)))
         bounds = gpc_distortion_bounds(n, codebook)
-        bits = codebook.bits
-        rows.append(
-            (
-                n_m,
-                bits,
-                operational,
-                bounds.lower,
-                bounds.upper,
-                memoryless_lower_bound(n, 2**bits),
-            )
-        )
+        operational = _pooled_mse(traces, codebook)
+        reference = memoryless_lower_bound(n, 2**codebook.bits)
+        rows.append((n_m, codebook.bits, operational, bounds.lower, bounds.upper, reference))
     _write_csv(
-        config,
-        ("n_m", "bits", "operational", "d_lower", "d_upper", "memoryless_bound"),
-        rows,
+        config, ("n_m", "bits", "operational", "d_lower", "d_upper", "memoryless_bound"), rows
     )
 
 
 def cmd_gains(config: ExperimentConfig):
     options = config.options
     packing = best_packing(options["n"], options["n_d"])
-    curves = [(n_m, ShapeGainCodebook(packing, uniform_magnitude(n_m))) for n_m in options["n_m_grid"]]
+    curves = [(m, ShapeGainCodebook(packing, uniform_magnitude(m))) for m in options["n_m_grid"]]
     rows = []
-    for beta in options["beta_grid"]:
-        traces = [
-            _model_trace(
-                {"model": "ar1", "n": options["n"], "beta": beta},
-                _child_seed(config.seed, 0x6A, trial),
-                options["steps"],
-            )
-            for trial in range(options["trials"])
-        ]
+    for params in options["trace_params"]:
+        traces = _traces(params, config.seed, 0x6A, options["trials"])
         for n_m, codebook in curves:
-            squared = [
-                encode_trace(t.points, codebook, mode="exact", on_track_loss="reinit")
-                .prediction_errors
-                ** 2
-                for t in traces
-            ]
-            rows.append((beta, n_m, -_pooled_mse_db(squared)))
+            mse = _pooled_mse(traces, codebook, "prediction_errors")
+            rows.append((params.beta, n_m, -_db(mse)))
         if options["include_unquantized"]:
-            squared = [
-                encode_trace(
-                    t.points,
-                    curves[0][1],
-                    mode="exact",
-                    free_magnitude=True,
-                    on_track_loss="reinit",
-                ).prediction_errors
-                ** 2
-                for t in traces
-            ]
-            rows.append((beta, 0, -_pooled_mse_db(squared)))
+            mse = _pooled_mse(traces, curves[0][1], "prediction_errors", free_magnitude=True)
+            rows.append((params.beta, 0, -_db(mse)))
     _write_csv(config, ("beta", "n_m", "gclp_db"), rows)
 
 
 def cmd_mse(config: ExperimentConfig):
     options = config.options
-    n = options["n"]
+    n, bits = options["n"], options["bits"]
     gpc_codebook = ShapeGainCodebook(
-        best_packing(n, 2 ** (options["bits"] - options["magnitude_bits"])),
+        best_packing(n, 2 ** (bits - options["magnitude_bits"])),
         uniform_magnitude(2 ** options["magnitude_bits"]),
     )
     memoryless = {b: best_packing(n, 2**b) for b in options["memoryless_bits_grid"]}
     rows = []
-    for beta in options["beta_grid"]:
-        traces = [
-            _model_trace(
-                {"model": "ar1", "n": n, "beta": beta},
-                _child_seed(config.seed, 0x5E, trial),
-                options["steps"],
-            )
-            for trial in range(options["trials"])
-        ]
-        gpc_sq = [
-            encode_trace(t.points, gpc_codebook, mode="exact", on_track_loss="reinit")
-            .estimate_errors
-            ** 2
-            for t in traces
-        ]
-        rows.append(("gpc", options["bits"], beta, _pooled_mse_db(gpc_sq)))
-        for bits, codebook in memoryless.items():
-            mem_sq = [memoryless_squared_errors(t.normalized, codebook) for t in traces]
-            rows.append(("memoryless", bits, beta, _pooled_mse_db(mem_sq)))
+    for params in options["trace_params"]:
+        traces = _traces(params, config.seed, 0x5E, options["trials"])
+        rows.append(("gpc", bits, params.beta, _db(_pooled_mse(traces, gpc_codebook))))
+        for b, packing in memoryless.items():
+            squared = [memoryless_squared_errors(t.normalized, packing) for t in traces]
+            mse = float(np.mean(np.concatenate(squared)))
+            rows.append(("memoryless", b, params.beta, _db(mse)))
     _write_csv(config, ("scheme", "bits", "beta", "mse_db"), rows)
 
 
 def cmd_sumrate(config: ExperimentConfig):
-    sumrate_config = dataclasses.replace(config.options["sumrate_config"], seed=config.seed)
-    rows = [
-        (
-            cell.scheme,
-            cell.snr_db,
-            cell.fdts,
-            cell.bits,
-            cell.trial_count,
-            cell.sum_rate_mean,
-            cell.sum_rate_stderr,
-        )
-        for cell in run_sumrate_experiment(sumrate_config)
-    ]
-    _write_csv(
-        config,
-        ("scheme", "snr_db", "fdts", "bits", "trial_count", "sum_rate_mean", "sum_rate_stderr"),
-        rows,
+    cells = run_sumrate_experiment(
+        dataclasses.replace(config.options["sumrate_config"], seed=config.seed)
     )
+    columns = [f.name for f in dataclasses.fields(SumRateTableRow)]
+    _write_csv(config, columns, [dataclasses.astuple(cell) for cell in cells])
 
 
 _DISPATCH = {
@@ -608,13 +496,6 @@ def _seed_u64(text: str) -> int:
     return value
 
 
-def _threads_positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("threads must be >= 1")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grasspc",
@@ -623,13 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="INI config file (see docs/config.md)")
     parser.add_argument("--seed", required=True, type=_seed_u64, help="u64 master seed")
-    parser.add_argument(
-        "--threads",
-        type=_threads_positive,
-        default=1,
-        help="worker budget; the current implementation always runs "
-        "single-threaded so results never depend on scheduling",
-    )
     parser.add_argument("--out", required=True, help="output path (CSV, codebook, or trace)")
     return parser
 
@@ -638,7 +512,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.command, args.config, args.seed, args.threads, args.out, argv)
+        config = load_config(args.command, args.config, args.seed, None, args.out, argv)
         with open(config.out, "a", encoding="utf-8"):
             pass
     except ConfigError as exc:

@@ -334,10 +334,10 @@ def _run(codebook, state, time, observed=None, pairs=None, free_magnitude=False,
                 raise TrackingLostError(exc.rho_abs, time) from exc
             reinits += 1
             prev, curr, predicted = _seed(observed[j + 1], obs, codebook, reseed)
-            time, pair, estimate = 2, None, curr
+            pair, estimate = None, curr
         else:
             prev, curr, predicted = curr, estimate, next_predicted
-            time += 1
+        time += 1
         sent.append(pair)
         estimates.append(estimate)
         if not decoding:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from grasspc.channel import load_trace
-from grasspc.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from grasspc.cli import _SCHEMAS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _parser_for, main
 from grasspc.codebooks import load_codebook
 
 
@@ -105,14 +105,31 @@ def test_codebook_sizes_must_be_powers_of_two(tmp_path, capsys):
         ("gains", "n_d = 1"),
         ("distortion", "n_d = 1"),
         ("distortion", "n_m_grid = 1"),
+        ("gen-trace", "beta = -0.1"),
+        ("train", "beta = -1"),
+        ("gen-trace", "model = ar2\nnoise_std = -1"),
+        ("distortion", "noise_std = -1"),
+        ("mse", "n = 1"),
+        ("gains", "n = 1"),
+        ("train", "lloyd_iters = 0"),
     ],
 )
 def test_single_codeword_sizes_are_config_errors(tmp_path, capsys, command, key):
-    # Each of these would otherwise reach a packing or spacing that needs
-    # two codewords and escape as a ValueError traceback.
+    # Out-of-range sizes and model values: each would otherwise reach a
+    # packing, a spacing, a trace generator or a Lloyd loop and escape as a
+    # traceback.  The error names the section.
     code, _ = run_cli(tmp_path, command, f"[{command}]\n{key}\n")
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error:")
+    assert capsys.readouterr().err.startswith(f"config error: [{command}] ")
+
+
+@pytest.mark.parametrize("command", sorted(_SCHEMAS))
+def test_every_default_parses_from_its_ini_text(command):
+    # Each key's parser comes from its default's type, so a default whose
+    # type has no parser would otherwise fail only when a user sets the key.
+    for key, default in _SCHEMAS[command].items():
+        text = ", ".join(map(str, default)) if isinstance(default, tuple) else str(default)
+        assert _parser_for(default)(text) == default, key
 
 
 def test_unwritable_output_path(tmp_path, capsys):
@@ -295,16 +312,3 @@ def test_sumrate_rows_and_snr_monotonicity(tmp_path):
     assert means[("perfect_csi", 10.0)] > means[("memoryless_random", 10.0)]
     assert all(v > 0.0 for v in means.values())
     assert all(r[columns.index("trial_count")] == "2" for r in rows)
-
-
-def test_threads_flag_does_not_change_results(tmp_path):
-    config = (
-        "[mse]\nn = 3\nbits = 6\nmagnitude_bits = 2\nmemoryless_bits_grid = 6\n"
-        "beta_grid = 0.01\nsteps = 200\ntrials = 2\n"
-    )
-    _, out1 = run_cli(tmp_path, "mse", config, out_name="t1.csv", extra=("--threads", "1"))
-    _, out4 = run_cli(tmp_path, "mse", config, out_name="t4.csv", extra=("--threads", "4"))
-    # Provenance embeds the argv, so compare the data section only.
-    body1 = [l for l in out1.read_text().splitlines() if not l.startswith("#")]
-    body4 = [l for l in out4.read_text().splitlines() if not l.startswith("#")]
-    assert body1 == body4

@@ -1,6 +1,8 @@
 """Unit tests for the predictive encoder/decoder: quantization, state
 management, symmetry, initialization, and index-stream serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -545,7 +547,7 @@ def ref_decode_step(state, index, codebook):
 
 
 def ref_encode_trace(points, codebook, mode, quantizer):
-    """The parent's encode_trace loop with on_track_loss="reinit"."""
+    """The object-path encode_trace loop with on_track_loss="reinit"."""
     state = ref_initialize(points[0], points[1], codebook, mode)
     indices, estimates, pred_err, est_err, reinits = [], [], [], [], 0
     for j, observed in enumerate(points[2:]):
@@ -555,6 +557,7 @@ def ref_encode_trace(points, codebook, mode, quantizer):
         except TrackingLostError:
             reinits += 1
             state = ref_initialize(points[j + 1], observed, codebook, mode)
+            state = dataclasses.replace(state, time=j + 3)
             index, estimate = None, state.est_curr
         indices.append(index)
         estimates.append(estimate)
@@ -651,6 +654,7 @@ def test_array_loop_matches_reference_through_track_loss(free_magnitude):
     ]
     res = check_against_reference(points, cb, "exact", free_magnitude)
     assert res.reinits == 1 and res.indices[0] is None
+    assert res.state.time == 5
     check_harvest_against_reference(points, cb)
 
 
