@@ -55,11 +55,12 @@ print(f"index stream round trip: {again == result.indices}")
 # error statistics: Lloyd on open-loop tangents first, then a magnitude
 # refit on closed-loop tangents (the quantized loop undershoots, so its
 # magnitude statistics differ from the open-loop ones).
+# A training set holds plain arrays: zero tangents carry no direction.
 ts1 = harvest_open_loop(trace.points)
-directions = lloyd_direction(ts1, 16, seed=0)
-stage1 = ShapeGainCodebook(directions, lloyd_magnitude(ts1, 8))
+directions = lloyd_direction(ts1.directions[ts1.magnitudes > 0], 16, seed=0)
+stage1 = ShapeGainCodebook(directions, lloyd_magnitude(ts1.magnitudes, 8))
 ts2 = harvest_closed_loop(trace.points, stage1)
-stage2 = ShapeGainCodebook(directions, lloyd_magnitude(ts2, 8))
+stage2 = ShapeGainCodebook(directions, lloyd_magnitude(ts2.magnitudes, 8))
 
 held_out = gen_ar1(Ar1Params(n=4, beta=0.001, steps=4000, seed=22))
 for name, cb in (("stage 1 (open loop)", stage1), ("stage 2 (refit)", stage2)):

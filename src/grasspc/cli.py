@@ -38,16 +38,16 @@ from .analysis import (
 from .channel import Ar1Params, Ar2Params, gen_ar1, gen_ar2, rng_stream, save_trace
 from .codebooks import (
     ShapeGainCodebook,
+    _harvest_closed_rows,
+    _harvest_open_rows,
     _is_pow2,
     best_packing,
-    harvest_closed_loop,
-    harvest_open_loop,
     lloyd_direction,
     lloyd_magnitude,
     save_codebook,
     uniform_magnitude,
 )
-from .codec import encode_trace
+from .codec import _encode_rows
 from .mumimo import SumRateConfig, SumRateTableRow, run_sumrate_experiment
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main"]
@@ -161,7 +161,8 @@ _SCHEMAS: dict[str, dict] = {
 # Bounds that no library object checks before the run:
 # (key, least value, whether each value must be a power of two).
 _BOUNDS = {
-    "train": (("n_d", 1, True), ("n_m", 1, True), ("lloyd_iters", 1, False), ("steps", 4, False)),
+    "train": (("n_d", 2, True), ("n_m", 1, True), ("lloyd_iters", 1, False), ("steps", 4, False),
+              ("min_magnitude", 0.0, False)),
     # The closed-form bounds need two codewords on each side.
     "distortion": (("n_d", 2, True), ("n_m_grid", 2, True), ("trials", 1, False)),
     "gains": (("n_d", 2, True), ("n_m_grid", 1, True), ("trials", 1, False)),
@@ -321,13 +322,14 @@ def _db(mean: float) -> float:
     return -math.inf if mean == 0.0 else 10.0 * math.log10(mean)
 
 
-def _pooled_mse(traces, codebook, errors="estimate_errors", **kwargs) -> float:
-    """Mean squared chordal ``errors`` of the closed loop, re-initialized on
-    track loss, pooled over ``traces``."""
-    squared = []
-    for t in traces:
-        run = encode_trace(t.points, codebook, on_track_loss="reinit", **kwargs)
-        squared.append(getattr(run, errors) ** 2)
+def _pooled_mse(traces, codebook, errors="est_err", free_magnitude=False) -> float:
+    """Mean squared chordal ``errors`` (``est_err`` or ``pred_err``) of the
+    closed loop from an exact start, re-initialized on track loss, pooled
+    over ``traces``."""
+    squared = [
+        getattr(_encode_rows(t.normalized, codebook, "exact", free_magnitude, "exact"), errors) ** 2
+        for t in traces
+    ]
     return float(np.mean(np.concatenate(squared)))
 
 
@@ -342,39 +344,37 @@ def _train_two_stage(trace, options: dict, seed: int, log=lambda line: None):
     codebook, stage-2 codebook).
     """
     n, n_d, n_m, iters = options["n"], options["n_d"], options["n_m"], options["lloyd_iters"]
-    min_magnitude = options["min_magnitude"]
-    ts1 = harvest_open_loop(trace.points)
+    ts1 = _harvest_open_rows(trace.normalized)
     log(
         f"stage 1: {len(ts1)} open-loop tangents harvested "
         f"({ts1.skipped} skipped at the cut locus)"
     )
-    if ts1.directions(min_magnitude).shape[0] < n_d:
+    usable = ts1.directions[ts1.magnitudes > options["min_magnitude"]]
+    if usable.shape[0] < n_d:
         log(
             "warning: too few usable direction samples (stationary trace?); "
             "falling back to a random-packing direction codebook"
         )
         directions = best_packing(n, n_d)
     else:
-        directions, dir_hist = lloyd_direction(
-            ts1, n_d, iters, seed, min_magnitude=min_magnitude, return_history=True
-        )
+        directions, dir_hist = lloyd_direction(usable, n_d, iters, seed, return_history=True)
         log(
             f"stage 1: direction distortion {dir_hist[-1]:.6g} "
             f"after {len(dir_hist)} Lloyd iterations"
         )
-    mags1, mag_hist = lloyd_magnitude(ts1, n_m, iters, return_history=True)
+    mags1, mag_hist = lloyd_magnitude(ts1.magnitudes, n_m, iters, return_history=True)
     log(
         f"stage 1: magnitude distortion {mag_hist[-1]:.6g} "
         f"after {len(mag_hist)} Lloyd iterations"
     )
     stage1 = ShapeGainCodebook(directions, mags1)
 
-    ts2 = harvest_closed_loop(trace.points, stage1)
+    ts2 = _harvest_closed_rows(trace.normalized, stage1)
     log(
         f"stage 2: {len(ts2)} closed-loop tangents harvested "
         f"({ts2.skipped} skipped at the cut locus)"
     )
-    mags2, mag_hist2 = lloyd_magnitude(ts2, n_m, iters, return_history=True)
+    mags2, mag_hist2 = lloyd_magnitude(ts2.magnitudes, n_m, iters, return_history=True)
     log(
         f"stage 2: magnitude distortion {mag_hist2[-1]:.6g} "
         f"after {len(mag_hist2)} Lloyd iterations"
@@ -440,10 +440,10 @@ def cmd_gains(config: ExperimentConfig):
     for params in options["trace_params"]:
         traces = _traces(params, config.seed, 0x6A, options["trials"])
         for n_m, codebook in curves:
-            mse = _pooled_mse(traces, codebook, "prediction_errors")
+            mse = _pooled_mse(traces, codebook, "pred_err")
             rows.append((params.beta, n_m, -_db(mse)))
         if options["include_unquantized"]:
-            mse = _pooled_mse(traces, curves[0][1], "prediction_errors", free_magnitude=True)
+            mse = _pooled_mse(traces, curves[0][1], "pred_err", free_magnitude=True)
             rows.append((params.beta, 0, -_db(mse)))
     _write_csv(config, ("beta", "n_m", "gclp_db"), rows)
 

@@ -5,8 +5,8 @@ as a unit vector in C^n and projected onto the local tangent space at use
 time) and a scalar "gain" (a tangent magnitude in [0, pi/2]).  Training
 follows the classic two-stage recipe: harvest prediction-error tangents
 from a trace (open loop on raw observations, then closed loop through the
-actual encoder), and run Lloyd iterations separately on directions and
-magnitudes.
+actual encoder) into a :class:`TrainingSet` of plain arrays, and run Lloyd
+iterations separately on the direction rows and the magnitudes.
 """
 
 from __future__ import annotations
@@ -18,14 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import rng_stream
-from .geometry import (
-    CutLocusError,
-    GrassmannPoint,
-    TangentVector,
-    _log_coords,
-    log_map,
-    predict_one_step,
-)
+from .geometry import CutLocusError, _log_coords, _predict_coords
 
 __all__ = [
     "FILE_NORM_TOL",
@@ -169,37 +162,35 @@ class ShapeGainCodebook:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Harvested prediction-error tangents plus a skipped-step counter."""
+    """Harvested prediction-error tangents as arrays, plus a skipped-step counter.
 
-    tangents: tuple[TangentVector, ...]
+    Row ``k`` of ``directions`` (shape (M, n)) is the unit direction of the
+    tangent whose arc length is ``magnitudes[k]`` (shape (M,)); a zero
+    tangent has the all-zeros direction.  Direction training wants the
+    nonzero ones: ``directions[magnitudes > floor]``.
+    """
+
+    magnitudes: np.ndarray
+    directions: np.ndarray
     skipped: int = 0
 
     def __post_init__(self):
-        tangents = tuple(self.tangents)
-        if not tangents:
+        mags = np.array(self.magnitudes, dtype=np.float64)
+        dirs = np.array(self.directions, dtype=np.complex128)
+        if mags.size == 0:
             raise ValueError("training set must contain at least one tangent")
-        n = tangents[0].base.n
-        if any(t.base.n != n for t in tangents):
-            raise ValueError("all tangents must share the ambient dimension")
-        object.__setattr__(self, "tangents", tangents)
+        if mags.ndim != 1 or dirs.ndim != 2 or dirs.shape[0] != mags.size or dirs.shape[1] < 2:
+            raise ValueError(f"need shapes (M,) and (M, n >= 2), got {mags.shape}, {dirs.shape}")
+        mags.flags.writeable = dirs.flags.writeable = False
+        object.__setattr__(self, "magnitudes", mags)
+        object.__setattr__(self, "directions", dirs)
 
     def __len__(self) -> int:
-        return len(self.tangents)
+        return self.magnitudes.size
 
     @property
     def n(self) -> int:
-        return self.tangents[0].base.n
-
-    def magnitudes(self) -> np.ndarray:
-        return np.array([t.magnitude for t in self.tangents], dtype=np.float64)
-
-    def directions(self, min_magnitude: float = 0.0) -> np.ndarray:
-        """Unit directions of tangents with magnitude above the floor,
-        phase-canonicalized for reproducible clustering."""
-        rows = [t.direction for t in self.tangents if t.magnitude > min_magnitude]
-        if not rows:
-            return np.zeros((0, self.n), dtype=np.complex128)
-        return np.array([canonical_phase(r) for r in rows])
+        return self.directions.shape[1]
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -211,26 +202,47 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     return v.copy()
 
 
+def _training_set(tangents: list, skipped: int) -> TrainingSet:
+    if not tangents:
+        raise ValueError("every step straddled the cut locus; nothing harvested")
+    magnitudes, directions = zip(*tangents)
+    return TrainingSet(magnitudes, directions, skipped)
+
+
+def _harvest_open_rows(rows) -> TrainingSet:
+    """:func:`harvest_open_loop` on a sequence of unit rows."""
+    if len(rows) < 3:
+        raise ValueError("need at least 3 points to harvest")
+    tangents = []
+    for prev, curr, target in zip(rows, rows[1:], rows[2:]):
+        try:
+            tangents.append(_log_coords(_predict_coords(prev, curr), target))
+        except CutLocusError:
+            pass
+    return _training_set(tangents, len(rows) - 2 - len(tangents))
+
+
+def _harvest_closed_rows(rows, codebook: ShapeGainCodebook) -> TrainingSet:
+    """:func:`harvest_closed_loop` on a sequence of unit rows."""
+    from .codec import _encode_rows  # local import to avoid a cycle
+
+    run = _encode_rows(rows, codebook, "exact", reseed="exact")
+    tangents = []
+    for base, target in zip(run.predictions, rows[2:]):
+        try:
+            tangents.append(_log_coords(base, target))
+        except CutLocusError:
+            pass
+    return _training_set(tangents, run.reinits)
+
+
 def harvest_open_loop(points) -> TrainingSet:
     """Prediction-error tangents of a trace, predicting from raw observations.
 
     For each k >= 1 the tangent log_map(predict(x[k-1], x[k]), x[k+1]) is
     recorded; cut-locus steps are skipped and counted.
     """
-    points = list(points)
-    if len(points) < 3:
-        raise ValueError("need at least 3 points to harvest")
-    tangents = []
-    skipped = 0
-    for k in range(1, len(points) - 1):
-        try:
-            predicted = predict_one_step(points[k - 1], points[k])
-            tangents.append(log_map(predicted, points[k + 1]))
-        except CutLocusError:
-            skipped += 1
-    if not tangents:
-        raise ValueError("every step straddled the cut locus; nothing harvested")
-    return TrainingSet(tuple(tangents), skipped)
+    return _harvest_open_rows([p.coords for p in points])
 
 
 def harvest_closed_loop(points, codebook: ShapeGainCodebook) -> TrainingSet:
@@ -243,26 +255,7 @@ def harvest_closed_loop(points, codebook: ShapeGainCodebook) -> TrainingSet:
     ``skipped`` and recover by exact re-initialization from the raw
     observations.
     """
-    from .codec import _run, _seed  # local import to avoid a cycle
-
-    rows = [p.coords for p in points]
-    if len(rows) < 3:
-        raise ValueError("need at least 3 points to harvest")
-    run = _run(codebook, _seed(rows[0], rows[1], codebook, "exact"), 2, rows, reseed="exact")
-    tangents = []
-    for base, target in zip(run.predictions, rows[2:]):
-        try:
-            tangents.append(TangentVector(GrassmannPoint(base), *_log_coords(base, target)))
-        except CutLocusError:
-            pass
-    if not tangents:
-        raise ValueError("every step straddled the cut locus; nothing harvested")
-    return TrainingSet(tuple(tangents), run.reinits)
-
-
-def _repair_empty(dist: np.ndarray, count: int) -> np.ndarray:
-    """Indices of replacement samples for empty clusters: farthest-first."""
-    return np.argsort(dist)[::-1][:count]
+    return _harvest_closed_rows([p.coords for p in points], codebook)
 
 
 def lloyd_direction(
@@ -271,23 +264,21 @@ def lloyd_direction(
     max_iters: int = 100,
     seed: int = 0,
     *,
-    min_magnitude: float = 0.0,
     return_history: bool = False,
 ):
     """Lloyd clustering of tangent directions under the chordal metric.
 
-    ``samples`` is a :class:`TrainingSet` or an (M, n) array of unit rows.
-    Cluster centroids are principal eigenvectors of the cluster outer-product
-    sums; empty clusters are repaired with the currently worst-quantized
-    samples.  The per-iteration mean distortion is non-increasing by
-    construction and this is asserted on every run.
+    ``samples`` is an (M, n) array of unit rows, such as the nonzero rows of
+    a :class:`TrainingSet`'s ``directions``; each is phase-canonicalized for
+    reproducible clustering.  Cluster centroids are principal eigenvectors
+    of the cluster outer-product sums; empty clusters are repaired with the
+    currently worst-quantized samples.  The per-iteration mean distortion is
+    non-increasing by construction and this is asserted on every run.
     """
-    if isinstance(samples, TrainingSet):
-        X = samples.directions(min_magnitude)
-    else:
-        X = np.array([canonical_phase(r) for r in np.asarray(samples, dtype=np.complex128)])
-    if X.ndim != 2:
-        raise ValueError("samples must be a 2-D array of unit rows")
+    X = np.asarray(samples, dtype=np.complex128)
+    if X.ndim != 2 or np.any(np.abs(np.linalg.norm(X, axis=1) - 1.0) > FILE_NORM_TOL):
+        raise ValueError("samples must be a 2-D array of unit rows (drop zero tangents)")
+    X = np.array([canonical_phase(r) for r in X])
     m = X.shape[0]
     if not _is_pow2(n_d):
         raise ValueError(f"N_d must be a power of two, got {n_d}")
@@ -311,7 +302,8 @@ def lloyd_direction(
             break
         empties = [k for k in range(n_d) if not np.any(assign == k)]
         if empties:
-            for k, idx in zip(empties, _repair_empty(dist, len(empties))):
+            # Farthest-first: the worst-quantized samples seed empty clusters.
+            for k, idx in zip(empties, np.argsort(dist)[::-1][: len(empties)]):
                 centers[k] = X[idx]
                 assign[idx] = k
         for k in range(n_d):
@@ -334,13 +326,11 @@ def lloyd_magnitude(
 ):
     """Scalar Lloyd-Max on tangent magnitudes: midpoint cells, mean codewords.
 
-    Initialization uses sample quantiles, so the run is deterministic.  The
-    per-iteration distortion is asserted non-increasing.
+    ``samples`` is an array of magnitudes, such as a :class:`TrainingSet`'s
+    ``magnitudes``.  Initialization uses sample quantiles, so the run is
+    deterministic.  The per-iteration distortion is asserted non-increasing.
     """
-    if isinstance(samples, TrainingSet):
-        vals = samples.magnitudes()
-    else:
-        vals = np.asarray(samples, dtype=np.float64).ravel()
+    vals = np.asarray(samples, dtype=np.float64).ravel()
     if vals.size == 0:
         raise ValueError("no magnitude samples")
     if not _is_pow2(n_m):

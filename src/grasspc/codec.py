@@ -6,8 +6,10 @@ quantizes the observation's error tangent at the prediction against a
 shape-gain codebook and sends only the codeword index; both ends step along
 that codeword and extrapolate the next prediction.  ``_run`` is the one
 implementation of that update, on plain complex rows: the encoder, the
-decoder and the closed-loop training harvest all run it, so the two estimate
-sequences are bit-identical as long as the index stream is intact.
+decoder, the closed-loop training harvest and every experiment run it (the
+encoder side through ``_encode_rows``), so the two estimate sequences are
+bit-identical as long as the index stream is intact.  Points are built only
+where a public function takes or returns them.
 """
 
 from __future__ import annotations
@@ -263,7 +265,8 @@ def _seed(x0: np.ndarray, x1: np.ndarray, codebook, mode: str):
 
 
 def _state(rows, time: int) -> GpcState:
-    return GpcState(*(GrassmannPoint(r) for r in rows), time)
+    # Each row is an input point's, a normalized codeword or a fresh v / ||v||.
+    return GpcState(*(GrassmannPoint._wrap(r) for r in rows), time)
 
 
 def initialize(
@@ -346,6 +349,15 @@ def _run(codebook, state, time, observed=None, pairs=None, free_magnitude=False,
     return _Run(sent, estimates, predictions, pred_err, est_err, state, time, reinits)
 
 
+def _encode_rows(rows, codebook, mode: str, free_magnitude=False, reseed=None) -> _Run:
+    """The encoder over a whole trace of unit rows: the state is seeded from
+    rows 0 and 1 in ``mode`` and :func:`_run` encodes the rest."""
+    if len(rows) < 3:
+        raise ValueError("need at least 3 points (two seed the state)")
+    state = _seed(rows[0], rows[1], codebook, mode)
+    return _run(codebook, state, 2, rows, None, free_magnitude, reseed)
+
+
 @dataclass(frozen=True)
 class EncodeResult:
     """Everything a full-trace encoder run produces.
@@ -388,15 +400,11 @@ def encode_trace(
     """
     if on_track_loss not in ("raise", "reinit"):
         raise ValueError(f"on_track_loss must be 'raise' or 'reinit', got {on_track_loss!r}")
-    rows = [p.coords for p in points]
-    if len(rows) < 3:
-        raise ValueError("need at least 3 points (two seed the state)")
     reseed = mode if on_track_loss == "reinit" else None
-    state = _seed(rows[0], rows[1], codebook, mode)
-    run = _run(codebook, state, 2, rows, None, free_magnitude, reseed)
+    run = _encode_rows([p.coords for p in points], codebook, mode, free_magnitude, reseed)
     return EncodeResult(
         tuple(None if p is None else CodewordIndex(*p) for p in run.pairs),
-        tuple(GrassmannPoint(e) for e in run.estimates),
+        tuple(GrassmannPoint._wrap(e) for e in run.estimates),
         run.pred_err,
         run.est_err,
         _state(run.state, run.time),
@@ -416,7 +424,7 @@ def decode_trace(
         return (), state
     rows = (state.est_prev.coords, state.est_curr.coords, state.predicted.coords)
     run = _run(codebook, rows, state.time, pairs=pairs)
-    return tuple(GrassmannPoint(e) for e in run.estimates), _state(run.state, run.time)
+    return tuple(GrassmannPoint._wrap(e) for e in run.estimates), _state(run.state, run.time)
 
 
 def write_index_stream(path, indices, n_m: int):

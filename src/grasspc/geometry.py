@@ -269,9 +269,9 @@ def inner_decomposition(x: GrassmannPoint, y: GrassmannPoint) -> InnerProductDec
     """Inner product rho together with the chord and angle it induces."""
     _check_pair(x, y)
     rho = complex(np.vdot(x.coords, y.coords))
-    a = min(abs(rho), 1.0)
-    chord = float(np.sqrt(max(0.0, 1.0 - a * a)))
-    return InnerProductDecomposition(rho=rho, chord=chord, angle=float(np.arccos(a)))
+    chord = _chord_from_coords(x.coords, y.coords)
+    # arctan2 keeps the angle as accurate as the chord for nearly coincident lines.
+    return InnerProductDecomposition(rho=rho, chord=chord, angle=math.atan2(chord, abs(rho)))
 
 
 def _orthonormal_direction(raw: np.ndarray, base: np.ndarray) -> np.ndarray:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .channel import ar1_from_innovations, bessel_j0, complex_gaussian, rng_stream
 from .codebooks import ShapeGainCodebook, best_packing, uniform_magnitude
-from .codec import encode_trace
-from .geometry import GrassmannPoint
+from .codec import _encode_rows
+from .geometry import _norm
 
 __all__ = [
     "RankDeficientError",
@@ -312,11 +312,11 @@ def _gpc_trial(
         z = complex_gaussian(rng_stream(config.seed, 0xA1, trial, u), (config.steps, config.n_t))
         raw = ar1_from_innovations(z, alpha)
         rows = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        points = tuple(GrassmannPoint.from_vector(row) for row in rows)
-        result = encode_trace(points, codebook, mode="memoryless", on_track_loss="reinit")
+        # A second division by the norm, as from_vector did: it changes last bits of the rows.
+        rows = np.array([row / _norm(row) for row in rows])
+        run = _encode_rows(rows, codebook, "memoryless", reseed="memoryless")
         true_steps[:, u, :] = raw[config.discard :]
-        for j, k in enumerate(range(config.discard, config.steps)):
-            quantized[j, u, :] = result.estimates[k - 2].coords
+        quantized[:, u, :] = run.estimates[config.discard - 2 :]
     return _window_mean_rates(true_steps, quantized, powers, config.users)
 
 

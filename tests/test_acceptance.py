@@ -344,11 +344,13 @@ def test_criterion_8_training_improves_held_out_tracking(capsys):
         train = gen_ar1(Ar1Params(n=4, beta=0.001, steps=1500, seed=seed))
         held = gen_ar1(Ar1Params(n=4, beta=0.001, steps=3000, seed=1000 + seed))
         open_loop = harvest_open_loop(train.points)
-        directions, dir_hist = lloyd_direction(open_loop, 16, seed=seed, return_history=True)
-        magnitudes, mag_hist = lloyd_magnitude(open_loop, 8, return_history=True)
+        directions, dir_hist = lloyd_direction(
+            open_loop.directions[open_loop.magnitudes > 0.0], 16, seed=seed, return_history=True
+        )
+        magnitudes, mag_hist = lloyd_magnitude(open_loop.magnitudes, 8, return_history=True)
         stage1 = ShapeGainCodebook(directions, magnitudes)
         closed_loop = harvest_closed_loop(train.points, stage1)
-        refit, refit_hist = lloyd_magnitude(closed_loop, 8, return_history=True)
+        refit, refit_hist = lloyd_magnitude(closed_loop.magnitudes, 8, return_history=True)
         stage2 = ShapeGainCodebook(directions, refit)
 
         for history in (dir_hist, mag_hist, refit_hist):

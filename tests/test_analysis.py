@@ -218,7 +218,7 @@ def test_gain_from_chords_matches_gain_from_arcs_when_small():
     # chordal error = sin(arc error) exactly, so at small arcs the two gain
     # figures coincide; this validates quoting either in reports.
     trace = gen_ar1(Ar1Params(n=4, beta=0.01, steps=2000, seed=2))
-    arcs = harvest_open_loop(trace.points).magnitudes()
+    arcs = harvest_open_loop(trace.points).magnitudes
     pts = trace.points
     chords = [
         chordal_distance(predict_one_step(a, b), c) for a, b, c in zip(pts, pts[1:], pts[2:])

@@ -183,7 +183,7 @@ def test_gen_ar1_prediction_residual_vs_step_size():
 
     trace = gen_ar1(Ar1Params(n=4, beta=0.01, steps=10_000, seed=8))
     ts = harvest_open_loop(trace.points)
-    resid = np.mean(ts.magnitudes())
+    resid = np.mean(ts.magnitudes)
     steps = np.mean(
         [
             log_map(a, b).magnitude

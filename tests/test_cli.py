@@ -13,6 +13,8 @@ import pytest
 from grasspc.channel import load_trace
 from grasspc.cli import _SCHEMAS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _parser_for, main
 from grasspc.codebooks import load_codebook
+from grasspc.geometry import GrassmannPoint, TangentVector
+from grasspc.mumimo import SumRateConfig, run_sumrate_experiment
 
 
 def run_cli(tmp_path, command, config_text, *, seed="0", out_name="out.csv", extra=()):
@@ -112,6 +114,8 @@ def test_codebook_sizes_must_be_powers_of_two(tmp_path, capsys):
         ("mse", "n = 1"),
         ("gains", "n = 1"),
         ("train", "lloyd_iters = 0"),
+        ("train", "n_d = 1"),
+        ("train", "min_magnitude = -1"),
     ],
 )
 def test_single_codeword_sizes_are_config_errors(tmp_path, capsys, command, key):
@@ -312,3 +316,45 @@ def test_sumrate_rows_and_snr_monotonicity(tmp_path):
     assert means[("perfect_csi", 10.0)] > means[("memoryless_random", 10.0)]
     assert all(v > 0.0 for v in means.values())
     assert all(r[columns.index("trial_count")] == "2" for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# The experiments run on plain rows: no checked point or tangent per step.
+
+TINY = {
+    "mse": "[mse]\nn = 3\nbits = 5\nmagnitude_bits = 2\nmemoryless_bits_grid = 5\n"
+    "beta_grid = 0.01\nsteps = 40\ntrials = 2\n",
+    "gains": "[gains]\nn = 3\nn_d = 4\nn_m_grid = 2\nbeta_grid = 0.01\nsteps = 40\ntrials = 2\n",
+    "distortion": "[distortion]\nn = 3\nn_d = 4\nn_m_grid = 2\nsteps = 40\ntrials = 2\n",
+    "train": "[train]\nmodel = ar1\nn = 3\nbeta = 0.02\nsteps = 60\nn_d = 4\nn_m = 2\n",
+}
+
+
+@pytest.fixture
+def checked_constructions(monkeypatch):
+    """Count the checked constructions of points and tangents."""
+    counts = {"points": 0, "tangents": 0}
+    for cls, key in ((GrassmannPoint, "points"), (TangentVector, "tangents")):
+        original = cls.__post_init__
+
+        def counting(obj, original=original, key=key):
+            counts[key] += 1
+            original(obj)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return counts
+
+
+@pytest.mark.parametrize("command", sorted(TINY))
+def test_experiment_commands_build_no_checked_objects(tmp_path, command, checked_constructions):
+    code, _ = run_cli(tmp_path, command, TINY[command], out_name="out.txt")
+    assert code == EXIT_OK
+    assert checked_constructions == {"points": 0, "tangents": 0}
+
+
+def test_sumrate_experiment_builds_no_checked_objects(checked_constructions):
+    config = SumRateConfig(
+        bits=5, magnitude_bits=2, snr_db_grid=(0.0,), fdts_grid=(0.01,), trials=2, steps=24
+    )
+    assert len(run_sumrate_experiment(config)) == 3
+    assert checked_constructions == {"points": 0, "tangents": 0}

@@ -6,6 +6,8 @@ import pytest
 
 from grasspc import (
     Ar1Params,
+    Ar2Params,
+    CutLocusError,
     DirectionCodebook,
     GrassmannPoint,
     MagnitudeCodebook,
@@ -15,12 +17,14 @@ from grasspc import (
     chordal_distance,
     exp_map,
     gen_ar1,
+    gen_ar2,
     harvest_closed_loop,
     harvest_open_loop,
     load_codebook,
     lloyd_direction,
     lloyd_magnitude,
     log_map,
+    predict_one_step,
     random_point,
     rng_stream,
     save_codebook,
@@ -127,14 +131,18 @@ def tangent_with_magnitude(mag, n=3):
 
 def test_training_set_validation_and_filter():
     with pytest.raises(ValueError, match="at least one"):
-        TrainingSet((), 0)
-    ts = TrainingSet((tangent_with_magnitude(0.2), tangent_with_magnitude(0.4)), 0)
+        TrainingSet(np.empty(0), np.empty((0, 3)), 0)
+    tangents = [tangent_with_magnitude(0.2), tangent_with_magnitude(0.4)]
+    ts = TrainingSet([t.magnitude for t in tangents], [t.direction for t in tangents], 0)
     assert len(ts) == 2 and ts.n == 3
-    assert np.allclose(np.sort(ts.magnitudes()), [0.2, 0.4])
-    assert ts.directions(0.0).shape == (2, 3)
-    assert ts.directions(0.2).shape == (1, 3)  # floor is strict
-    with pytest.raises(ValueError, match="ambient dimension"):
-        TrainingSet((tangent_with_magnitude(0.2, 3), tangent_with_magnitude(0.2, 4)), 0)
+    assert np.allclose(ts.magnitudes, [0.2, 0.4])
+    assert not ts.magnitudes.flags.writeable and not ts.directions.flags.writeable
+    assert ts.directions[ts.magnitudes > 0.0].shape == (2, 3)
+    assert ts.directions[ts.magnitudes > 0.2].shape == (1, 3)  # floor is strict
+    with pytest.raises(ValueError, match="shape"):
+        TrainingSet([0.2, 0.4], [tangents[0].direction], 0)
+    with pytest.raises(ValueError, match="shape"):
+        TrainingSet([0.2], [[1.0]], 0)
 
 
 def test_harvest_open_loop_counts():
@@ -146,11 +154,53 @@ def test_harvest_open_loop_counts():
         harvest_open_loop(trace.points[:2])
 
 
+def ref_harvest_open_loop(points):
+    """The open-loop harvest on checked point and tangent objects, which
+    the row loop replaced: (magnitudes, directions, skipped)."""
+    magnitudes, directions, skipped = [], [], 0
+    for k in range(1, len(points) - 1):
+        try:
+            tangent = log_map(predict_one_step(points[k - 1], points[k]), points[k + 1])
+        except CutLocusError:
+            skipped += 1
+            continue
+        magnitudes.append(tangent.magnitude)
+        directions.append(tangent.direction)
+    return np.array(magnitudes), np.array(directions), skipped
+
+
+def cut_locus_trace():
+    # Step 1 predicts e0 and observes e1 (orthogonal); step 2 predicts from
+    # the orthogonal pair (e0, e1).  Both are skipped.
+    e = np.eye(3, dtype=np.complex128)
+    head = [GrassmannPoint(e[0]), GrassmannPoint(e[0]), GrassmannPoint(e[1])]
+    return head + list(gen_ar1(Ar1Params(n=3, beta=0.01, steps=50, seed=9)).points)
+
+
+HARVEST_TRACES = {
+    "ar1-slow": lambda: gen_ar1(Ar1Params(n=4, beta=0.001, steps=400, seed=7)).points,
+    "ar1-fast": lambda: gen_ar1(Ar1Params(n=4, beta=0.04, steps=400, seed=7)).points,
+    "ar2": lambda: gen_ar2(Ar2Params(3, a1=0.9, a2=0.75, noise_std=0.01, steps=400, seed=8)).points,
+    "stationary": lambda: [random_point(3, rng_stream(3))] * 10,
+    "cut-locus": cut_locus_trace,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARVEST_TRACES))
+def test_harvest_open_loop_matches_object_reference(name):
+    points = list(HARVEST_TRACES[name]())
+    magnitudes, directions, skipped = ref_harvest_open_loop(points)
+    ts = harvest_open_loop(points)
+    assert ts.skipped == skipped == (2 if name == "cut-locus" else 0)
+    assert ts.magnitudes.tobytes() == magnitudes.tobytes()
+    assert ts.directions.tobytes() == directions.tobytes()
+
+
 def test_harvest_on_stationary_trace_is_all_zero():
     x = random_point(3, rng_stream(3))
     ts = harvest_open_loop([x] * 10)
-    assert np.all(ts.magnitudes() == 0.0)
-    assert ts.directions().shape == (0, 3)
+    assert np.all(ts.magnitudes == 0.0)
+    assert ts.directions.shape == (8, 3) and not ts.directions.any()
 
 
 def test_harvest_on_exact_geodesic_is_near_zero():
@@ -159,7 +209,7 @@ def test_harvest_on_exact_geodesic_is_near_zero():
     e = log_map(x, y)
     points = [exp_map(x, e, t) for t in np.arange(12) * 0.05]
     ts = harvest_open_loop(points)
-    assert np.max(ts.magnitudes()) < 1e-6  # constant-speed rotation is predictable
+    assert np.max(ts.magnitudes) < 1e-6  # constant-speed rotation is predictable
 
 
 def test_harvest_closed_loop_sees_larger_errors_than_open_loop():
@@ -169,7 +219,7 @@ def test_harvest_closed_loop_sees_larger_errors_than_open_loop():
     coarse = ShapeGainCodebook(best_packing(3, 4), uniform_magnitude(2, 0.0, 0.5))
     closed = harvest_closed_loop(trace.points, coarse)
     opened = harvest_open_loop(trace.points)
-    assert np.mean(closed.magnitudes()) >= np.mean(opened.magnitudes())
+    assert np.mean(closed.magnitudes) >= np.mean(opened.magnitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +252,9 @@ def test_lloyd_direction_validation():
         lloyd_direction(unit_rows(10, 3, rng), 3)
     with pytest.raises(ValueError, match="at least"):
         lloyd_direction(unit_rows(3, 3, rng), 8)
+    # A zero tangent's all-zeros direction is not a unit row.
+    with pytest.raises(ValueError, match="unit rows"):
+        lloyd_direction(np.vstack([unit_rows(9, 3, rng), np.zeros((1, 3))]), 2)
 
 
 def test_lloyd_direction_history_non_increasing():

@@ -390,7 +390,7 @@ def test_more_magnitude_bits_reduce_distortion():
     ts = harvest_open_loop(trace.points)
     errors = {}
     for n_m in (4, 32):  # 2 vs 5 magnitude bits
-        cb = ShapeGainCodebook(directions, lloyd_magnitude(ts, n_m))
+        cb = ShapeGainCodebook(directions, lloyd_magnitude(ts.magnitudes, n_m))
         res = encode_trace(trace.points, cb)
         errors[n_m] = float(np.mean(res.estimate_errors**2))
     assert errors[32] < errors[4]
@@ -432,6 +432,38 @@ def test_index_stream_round_trip(tmp_path):
 def test_index_stream_rejects_reinit_gaps(tmp_path):
     with pytest.raises(ValueError, match="gap"):
         write_index_stream(tmp_path / "s.txt", [CodewordIndex(0, 0), None], 4)
+
+
+def assert_checked_points(points):
+    """Each point adopted unchecked passes the checked constructor unchanged."""
+    for p in points:
+        assert not p.coords.flags.writeable
+        assert np.array_equal(GrassmannPoint(p.coords).coords, p.coords)
+
+
+def state_points(state):
+    return state.est_prev, state.est_curr, state.predicted
+
+
+@pytest.mark.parametrize("mode", ["exact", "memoryless"])
+def test_codec_outputs_pass_the_constructor_checks(mode):
+    # encode_trace, decode_trace and initialize adopt the estimates and state
+    # points they compute without the constructor checks.
+    cb = ShapeGainCodebook(best_packing(4, 64), uniform_magnitude(8))
+    points = gen_ar1(Ar1Params(n=4, beta=0.04, steps=300, seed=24)).points
+    res = encode_trace(points, cb, mode)
+    start = initialize(points[0], points[1], cb, mode)
+    decoded, final = decode_trace(start, res.indices, cb)
+    assert_checked_points(res.estimates + decoded)
+    assert_checked_points(state_points(start) + state_points(res.state) + state_points(final))
+    # A track-loss re-seed adopts the observations (exact) or codewords: the
+    # third point is orthogonal to the first prediction.
+    p = start.predicted.coords
+    v = points[5].coords - np.vdot(p, points[5].coords) * p
+    track_loss = [points[0], points[1], GrassmannPoint.from_vector(v)] + list(points[6:40])
+    res = encode_trace(track_loss, cb, mode, on_track_loss="reinit")
+    assert res.reinits == 1 and res.indices[0] is None
+    assert_checked_points(res.estimates + state_points(res.state))
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +656,8 @@ def check_harvest_against_reference(points, codebook):
     tangents, skipped = ref_harvest_closed_loop(points, codebook)
     ts = harvest_closed_loop(points, codebook)
     assert ts.skipped == skipped
-    assert same_rows([ts.magnitudes()], [np.array([t.magnitude for t in tangents])])
-    assert same_rows([t.direction for t in ts.tangents], [t.direction for t in tangents])
-    assert same_rows([t.base.coords for t in ts.tangents], [t.base.coords for t in tangents])
+    assert same_rows([ts.magnitudes], [np.array([t.magnitude for t in tangents])])
+    assert same_rows(ts.directions, [t.direction for t in tangents])
 
 
 @pytest.mark.parametrize("beta", [0.001, 0.04])

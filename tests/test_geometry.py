@@ -159,6 +159,24 @@ def test_inner_decomposition_identity():
         assert 0.0 <= dec.angle <= np.pi / 2
 
 
+def test_inner_decomposition_accurate_for_nearly_coincident_lines():
+    # The chord is chordal_distance's, not 1 - |rho|^2, which cancels to 0
+    # below ~1e-8; the angle follows it instead of arccos |rho|.
+    rng = rng_stream(6)
+    for n in (2, 4):
+        x, d = correlated_pair(n, rng)
+        d = GrassmannPoint.from_vector(d.coords - np.vdot(x.coords, d.coords) * x.coords)
+        for separation in 10.0 ** -np.arange(5, 12):
+            y = GrassmannPoint.from_vector(
+                np.cos(separation) * x.coords + np.sin(separation) * d.coords
+            )
+            dec = inner_decomposition(x, y)
+            assert dec.chord == chordal_distance(x, y)
+            magnitude = log_map(x, y).magnitude
+            assert abs(dec.angle - magnitude) <= 1e-12 * magnitude
+            assert abs(dec.angle - separation) <= 1e-6 * separation
+
+
 # ---------------------------------------------------------------------------
 # log map
 
