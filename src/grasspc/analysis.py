@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebooks import DirectionCodebook, ShapeGainCodebook
+from .codebooks import DirectionCodebook, ShapeGainCodebook, _nearest
 
 __all__ = [
     "DistortionBounds",
@@ -158,5 +158,4 @@ def memoryless_squared_errors(rows: np.ndarray, codebook: DirectionCodebook) -> 
     rows = np.asarray(rows, dtype=np.complex128)
     if rows.ndim != 2 or rows.shape[1] != codebook.n:
         raise ValueError(f"rows must have shape (steps, {codebook.n})")
-    best = (np.abs(rows.conj() @ codebook.entries.T) ** 2).max(axis=1)
-    return np.maximum(0.0, 1.0 - best)
+    return _nearest(rows, codebook.entries)[1]

@@ -125,7 +125,7 @@ _MODEL_KEYS = dict(model="ar1", n=4, steps=10_000, beta=0.01, a1=0.9, a2=0.75, n
 # Each command's keys and defaults; a key's parser follows its default's type.
 _SCHEMAS: dict[str, dict] = {
     "gen-trace": dict(_MODEL_KEYS),
-    "train": {**_MODEL_KEYS, "n_d": 16, "n_m": 8, "lloyd_iters": 100, "min_magnitude": 0.0},
+    "train": {**_MODEL_KEYS, "n_d": 16, "n_m": 8},
     "distortion": {
         "n": 3,
         "a1": 0.9,
@@ -143,7 +143,6 @@ _SCHEMAS: dict[str, dict] = {
         "beta_grid": (0.001, 0.01, 0.02, 0.04),
         "steps": 6_000,
         "trials": 8,
-        "include_unquantized": True,
     },
     "mse": {
         "n": 4,
@@ -161,8 +160,7 @@ _SCHEMAS: dict[str, dict] = {
 # Bounds that no library object checks before the run:
 # (key, least value, whether each value must be a power of two).
 _BOUNDS = {
-    "train": (("n_d", 2, True), ("n_m", 1, True), ("lloyd_iters", 1, False), ("steps", 4, False),
-              ("min_magnitude", 0.0, False)),
+    "train": (("n_d", 2, True), ("n_m", 1, True), ("steps", 4, False)),
     # The closed-form bounds need two codewords on each side.
     "distortion": (("n_d", 2, True), ("n_m_grid", 2, True), ("trials", 1, False)),
     "gains": (("n_d", 2, True), ("n_m_grid", 1, True), ("trials", 1, False)),
@@ -343,13 +341,19 @@ def _train_two_stage(trace, options: dict, seed: int, log=lambda line: None):
     undershoots), so only the magnitudes are refit.  Returns (stage-1
     codebook, stage-2 codebook).
     """
-    n, n_d, n_m, iters = options["n"], options["n_d"], options["n_m"], options["lloyd_iters"]
+    n, n_d, n_m = options["n"], options["n_d"], options["n_m"]
+
+    def fit(label, lloyd, *args, **kwargs):
+        codebook, history = lloyd(*args, return_history=True, **kwargs)
+        log(f"{label} distortion {history[-1]:.6g} after {len(history)} Lloyd iterations")
+        return codebook
+
     ts1 = _harvest_open_rows(trace.normalized)
     log(
         f"stage 1: {len(ts1)} open-loop tangents harvested "
         f"({ts1.skipped} skipped at the cut locus)"
     )
-    usable = ts1.directions[ts1.magnitudes > options["min_magnitude"]]
+    usable = ts1.directions[ts1.magnitudes > 0.0]  # zero tangents have no direction
     if usable.shape[0] < n_d:
         log(
             "warning: too few usable direction samples (stationary trace?); "
@@ -357,16 +361,8 @@ def _train_two_stage(trace, options: dict, seed: int, log=lambda line: None):
         )
         directions = best_packing(n, n_d)
     else:
-        directions, dir_hist = lloyd_direction(usable, n_d, iters, seed, return_history=True)
-        log(
-            f"stage 1: direction distortion {dir_hist[-1]:.6g} "
-            f"after {len(dir_hist)} Lloyd iterations"
-        )
-    mags1, mag_hist = lloyd_magnitude(ts1.magnitudes, n_m, iters, return_history=True)
-    log(
-        f"stage 1: magnitude distortion {mag_hist[-1]:.6g} "
-        f"after {len(mag_hist)} Lloyd iterations"
-    )
+        directions = fit("stage 1: direction", lloyd_direction, usable, n_d, seed=seed)
+    mags1 = fit("stage 1: magnitude", lloyd_magnitude, ts1.magnitudes, n_m)
     stage1 = ShapeGainCodebook(directions, mags1)
 
     ts2 = _harvest_closed_rows(trace.normalized, stage1)
@@ -374,11 +370,7 @@ def _train_two_stage(trace, options: dict, seed: int, log=lambda line: None):
         f"stage 2: {len(ts2)} closed-loop tangents harvested "
         f"({ts2.skipped} skipped at the cut locus)"
     )
-    mags2, mag_hist2 = lloyd_magnitude(ts2.magnitudes, n_m, iters, return_history=True)
-    log(
-        f"stage 2: magnitude distortion {mag_hist2[-1]:.6g} "
-        f"after {len(mag_hist2)} Lloyd iterations"
-    )
+    mags2 = fit("stage 2: magnitude", lloyd_magnitude, ts2.magnitudes, n_m)
     stage2 = ShapeGainCodebook(directions, mags2)
     if float(np.max(mags2.entries)) == 0.0:
         log("warning: degenerate all-zero magnitude codebook (stationary training trace?)")
@@ -442,9 +434,8 @@ def cmd_gains(config: ExperimentConfig):
         for n_m, codebook in curves:
             mse = _pooled_mse(traces, codebook, "pred_err")
             rows.append((params.beta, n_m, -_db(mse)))
-        if options["include_unquantized"]:
-            mse = _pooled_mse(traces, curves[0][1], "pred_err", free_magnitude=True)
-            rows.append((params.beta, 0, -_db(mse)))
+        mse = _pooled_mse(traces, curves[0][1], "pred_err", free_magnitude=True)
+        rows.append((params.beta, 0, -_db(mse)))
     _write_csv(config, ("beta", "n_m", "gclp_db"), rows)
 
 

@@ -167,7 +167,7 @@ class TrainingSet:
     Row ``k`` of ``directions`` (shape (M, n)) is the unit direction of the
     tangent whose arc length is ``magnitudes[k]`` (shape (M,)); a zero
     tangent has the all-zeros direction.  Direction training wants the
-    nonzero ones: ``directions[magnitudes > floor]``.
+    nonzero ones: ``directions[magnitudes > 0]``.
     """
 
     magnitudes: np.ndarray
@@ -258,6 +258,52 @@ def harvest_closed_loop(points, codebook: ShapeGainCodebook) -> TrainingSet:
     return _harvest_closed_rows([p.coords for p in points], codebook)
 
 
+def _scores(rows, entries) -> np.ndarray:
+    """|c^H x|^2 for each of the (M, n) ``rows`` x and (N, n) ``entries`` c."""
+    return np.abs(rows.conj() @ entries.T) ** 2
+
+
+def _nearest(rows, entries) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best codeword by :func:`_scores` (ties to the lowest
+    index) and its squared chordal error.  A lone (1, n) row scores to the
+    bits of the matrix-vector C^* @ x, a stacked batch need not: callers
+    whose results must not depend on batching pass one row at a time."""
+    scores = _scores(rows, entries)
+    index = scores.argmax(axis=1)
+    return index, np.maximum(0.0, 1.0 - scores[np.arange(index.size), index])
+
+
+def _lloyd(samples, centers, assign, centroid, max_iters: int):
+    """Lloyd iterations shared by both trainers; returns (centers, history).
+
+    ``assign(centers)`` gives each sample's cell and squared error (it may
+    reorder ``centers`` in place); ``centroid(members)`` a nonempty cell's
+    codeword.  Stops when the mean error falls by less than ``LLOYD_TOL``
+    or after ``max_iters`` assignments, and asserts that it never rises.
+    """
+    history = []
+    for _ in range(max_iters):
+        cells, sq_err = assign(centers)
+        distortion = float(sq_err.mean())
+        if history and distortion > history[-1] + _MONOTONE_SLACK:
+            raise AssertionError(
+                f"Lloyd distortion increased: {history[-1]!r} -> {distortion!r}"
+            )
+        history.append(distortion)
+        if len(history) > 1 and history[-2] - distortion < LLOYD_TOL:
+            break
+        # Farthest-first: the worst-quantized samples seed empty cells.
+        empties = [k for k in range(len(centers)) if not np.any(cells == k)]
+        for k, idx in zip(empties, np.argsort(sq_err)[::-1][: len(empties)]):
+            centers[k] = samples[idx]
+            cells[idx] = k
+        for k in range(len(centers)):
+            members = samples[cells == k]
+            if len(members):
+                centers[k] = centroid(members)
+    return centers, history
+
+
 def lloyd_direction(
     samples,
     n_d: int,
@@ -286,33 +332,12 @@ def lloyd_direction(
         raise ValueError(f"need at least N_d = {n_d} usable samples, got {m}")
     rng = rng_stream(seed, 0xD1)
     centers = X[rng.choice(m, size=n_d, replace=False)].copy()
-    history = []
-    for _ in range(max_iters):
-        scores = np.abs(X @ centers.conj().T) ** 2  # (M, N_d)
-        assign = scores.argmax(axis=1)
-        dist = 1.0 - np.minimum(scores[np.arange(m), assign], 1.0)
-        distortion = float(dist.mean())
-        if history and distortion > history[-1] + _MONOTONE_SLACK:
-            raise AssertionError(
-                f"Lloyd distortion increased: {history[-1]!r} -> {distortion!r}"
-            )
-        converged = bool(history) and history[-1] - distortion < LLOYD_TOL
-        history.append(distortion)
-        if converged:
-            break
-        empties = [k for k in range(n_d) if not np.any(assign == k)]
-        if empties:
-            # Farthest-first: the worst-quantized samples seed empty clusters.
-            for k, idx in zip(empties, np.argsort(dist)[::-1][: len(empties)]):
-                centers[k] = X[idx]
-                assign[idx] = k
-        for k in range(n_d):
-            members = X[assign == k]
-            if members.shape[0] == 0:
-                continue
-            scatter = members.T @ members.conj()
-            _, vecs = np.linalg.eigh(scatter)
-            centers[k] = canonical_phase(vecs[:, -1])
+
+    def principal(members):
+        _, vecs = np.linalg.eigh(members.T @ members.conj())
+        return canonical_phase(vecs[:, -1])
+
+    centers, history = _lloyd(X, centers, lambda c: _nearest(X, c), principal, max_iters)
     codebook = DirectionCodebook(centers)
     return (codebook, history) if return_history else codebook
 
@@ -330,38 +355,20 @@ def lloyd_magnitude(
     ``magnitudes``.  Initialization uses sample quantiles, so the run is
     deterministic.  The per-iteration distortion is asserted non-increasing.
     """
-    vals = np.asarray(samples, dtype=np.float64).ravel()
+    vals = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     if vals.size == 0:
         raise ValueError("no magnitude samples")
     if not _is_pow2(n_m):
         raise ValueError(f"N_m must be a power of two, got {n_m}")
-    vals = np.sort(vals)
+
+    def midpoint_cells(codewords):
+        codewords.sort()  # the cells need sorted codewords; repair and update unsort them
+        cells = np.searchsorted(0.5 * (codewords[1:] + codewords[:-1]), vals)
+        err = vals - codewords[cells]
+        return cells, err * err
+
     codewords = np.quantile(vals, (np.arange(n_m) + 0.5) / n_m)
-    history = []
-    for _ in range(max_iters):
-        edges = 0.5 * (codewords[1:] + codewords[:-1])
-        assign = np.searchsorted(edges, vals)
-        err = vals - codewords[assign]
-        distortion = float(np.mean(err * err))
-        if history and distortion > history[-1] + _MONOTONE_SLACK:
-            raise AssertionError(
-                f"Lloyd distortion increased: {history[-1]!r} -> {distortion!r}"
-            )
-        converged = bool(history) and history[-1] - distortion < LLOYD_TOL
-        history.append(distortion)
-        if converged:
-            break
-        empties = [k for k in range(n_m) if not np.any(assign == k)]
-        if empties:
-            sq = err * err
-            for k, idx in zip(empties, np.argsort(sq)[::-1][: len(empties)]):
-                codewords[k] = vals[idx]
-                assign[idx] = k
-        for k in range(n_m):
-            members = vals[assign == k]
-            if members.size:
-                codewords[k] = members.mean()
-        codewords = np.sort(codewords)
+    codewords, history = _lloyd(vals, codewords, midpoint_cells, np.mean, max_iters)
     codebook = MagnitudeCodebook(np.sort(codewords))
     return (codebook, history) if return_history else codebook
 

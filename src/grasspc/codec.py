@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebooks import DirectionCodebook, ShapeGainCodebook
+from .codebooks import DirectionCodebook, ShapeGainCodebook, _nearest, _scores
 from .geometry import (
     RHO_MIN,
     ZERO_TANGENT_TOL,
@@ -51,6 +51,9 @@ __all__ = [
 #: Below this projected-norm threshold a direction codeword is treated as
 #: collinear with the base point and reconstructs to the zero tangent.
 PROJECTION_COLLAPSE_TOL = 1e-12
+_NO_WIRE_FORM = (
+    "a re-initialization gap or a free_magnitude=True step, and neither has a wire form"
+)
 
 
 class TrackingLostError(CutLocusError):
@@ -122,8 +125,7 @@ def memoryless_quantize(
     Returns the winning index and the codeword as a point; ties break to
     the lowest index.
     """
-    scores = np.abs(direction_codebook.entries.conj() @ observed.coords) ** 2
-    idx = int(scores.argmax())
+    idx = int(_nearest(observed.coords[None, :], direction_codebook.entries)[0][0])
     return idx, GrassmannPoint.from_vector(direction_codebook.entries[idx])
 
 
@@ -190,6 +192,12 @@ def _codeword(base, entries, levels, d_idx, m_idx) -> tuple[float, np.ndarray]:
     return magnitude, w / wn
 
 
+def _sendable(index: CodewordIndex | None, step: int) -> CodewordIndex:
+    if index is None:
+        raise ValueError(f"index {step} of the stream is None: {_NO_WIRE_FORM}")
+    return index
+
+
 def _pair(index: CodewordIndex, codebook: ShapeGainCodebook) -> tuple[int, int]:
     if not (0 <= index.direction_index < codebook.directions.size):
         raise IndexError(f"direction_index {index.direction_index} out of range")
@@ -248,20 +256,17 @@ def _seed(x0: np.ndarray, x1: np.ndarray, codebook, mode: str):
     if codebook is None:
         raise ValueError("memoryless initialization requires a codebook")
     entries = codebook.directions.entries
-    c0 = entries[int((np.abs(entries.conj() @ x0) ** 2).argmax())]
+    c0 = entries[_nearest(x0[None, :], entries)[0][0]]
     q0 = c0 / np.linalg.norm(c0)
-    scores = np.abs(entries.conj() @ x1) ** 2
-    last_exc: CutLocusError | None = None
-    for i1 in np.argsort(-scores, kind="stable"):
+    # _nearest's pick first (the stable ranking starts with it), then the rest.
+    for i1 in np.argsort(-_scores(x1[None, :], entries)[0], kind="stable"):
         q1 = entries[i1] / np.linalg.norm(entries[i1])
         try:
             return q0, q1, _predict_coords(q0, q1)
         except CutLocusError as exc:
             last_exc = exc
-    raise CutLocusError(
-        last_exc.rho_abs if last_exc else 0.0,
-        "no codeword for the second point can seed the predictor",
-    )
+    message = "no codeword for the second point can seed the predictor"
+    raise CutLocusError(last_exc.rho_abs, message)
 
 
 def _state(rows, time: int) -> GpcState:
@@ -419,7 +424,7 @@ def decode_trace(
 ) -> tuple[tuple[GrassmannPoint, ...], GpcState]:
     """Replay an index stream from an initial state; an empty stream leaves
     the state unchanged."""
-    pairs = [_pair(index, codebook) for index in indices]
+    pairs = [_pair(_sendable(index, step), codebook) for step, index in enumerate(indices)]
     if not pairs:
         return (), state
     rows = (state.est_prev.coords, state.est_curr.coords, state.predicted.coords)
@@ -430,10 +435,8 @@ def decode_trace(
 def write_index_stream(path, indices, n_m: int):
     """One decimal serialized index per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for index in indices:
-            if index is None:
-                raise ValueError("stream contains a re-initialization gap; not serializable")
-            fh.write(f"{index.serialize(n_m)}\n")
+        for step, index in enumerate(indices):
+            fh.write(f"{_sendable(index, step).serialize(n_m)}\n")
 
 
 def read_index_stream(path, n_m: int) -> tuple[CodewordIndex, ...]:

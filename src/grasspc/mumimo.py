@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ar1_from_innovations, bessel_j0, complex_gaussian, rng_stream
-from .codebooks import ShapeGainCodebook, best_packing, uniform_magnitude
+from .codebooks import ShapeGainCodebook, _nearest, best_packing, uniform_magnitude
 from .codec import _encode_rows
 from .geometry import _norm
 
@@ -297,8 +297,7 @@ def _memoryless_trial(config: SumRateConfig, trial: int, powers) -> np.ndarray:
         raw = complex_gaussian(cb_rng, (1 << config.bits, config.n_t))
         codebook = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         directions = h[:, u, :] / np.linalg.norm(h[:, u, :], axis=1, keepdims=True)
-        picks = np.argmax(np.abs(directions.conj() @ codebook.T) ** 2, axis=1)
-        quantized[:, u, :] = codebook[picks]
+        quantized[:, u, :] = codebook[_nearest(directions, codebook)[0]]
     return _window_mean_rates(h, quantized, powers, config.users)
 
 

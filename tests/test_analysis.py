@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta
 
 from grasspc import (
     Ar1Params,
@@ -117,6 +118,22 @@ def test_memoryless_squared_errors_matches_loop():
         assert abs(val - chordal_distance(p, q) ** 2) < 1e-12
     with pytest.raises(ValueError, match="shape"):
         memoryless_squared_errors(rows[:, :2], cb)
+
+
+@pytest.mark.parametrize("bits, n", [(6, 4), (9, 4), (4, 3)])
+def test_memoryless_squared_errors_match_the_random_codebook_closed_form(bits, n):
+    # Nearest of N = 2^B random unit codewords in C^n: the squared chordal
+    # error has mean N B(N, n/(n-1)) (Jindal, IEEE Trans. IT 2006).  A fresh
+    # codebook every 20 rows makes the 300 per-codebook means independent, so
+    # their standard error is honest.
+    rng = rng_stream(0, 0x6B)
+    means = []
+    for _ in range(300):
+        rows = unit_rows(20, n, rng)
+        codebook = DirectionCodebook(unit_rows(2**bits, n, rng))
+        means.append(memoryless_squared_errors(rows, codebook).mean())
+    exact = 2**bits * beta(2**bits, n / (n - 1))
+    assert abs(np.mean(means) - exact) < 5.0 * np.std(means, ddof=1) / np.sqrt(len(means))
 
 
 # ---------------------------------------------------------------------------

@@ -672,7 +672,7 @@ def test_array_loop_matches_object_reference(beta, mode, free_magnitude):
 
 
 @pytest.mark.parametrize("free_magnitude", [False, True])
-def test_array_loop_matches_reference_through_track_loss(free_magnitude):
+def test_array_loop_matches_reference_through_track_loss(tmp_path, free_magnitude):
     # The third point is orthogonal to the prediction e2: the encoder
     # re-seeds, and the harvest skips that step's tangent.
     cb = small_codebook(n=3, n_d=4, n_m=2)
@@ -687,6 +687,13 @@ def test_array_loop_matches_reference_through_track_loss(free_magnitude):
     assert res.reinits == 1 and res.indices[0] is None
     assert res.state.time == 5
     check_harvest_against_reference(points, cb)
+    # Neither stream has a wire form (with free_magnitude no step has an
+    # index): the decoder and the stream writer name the first missing one.
+    missing = "index 0 of the stream is None: a re-initialization gap or a free_magnitude"
+    with pytest.raises(ValueError, match=missing):
+        decode_trace(initialize(points[0], points[1], cb), res.indices, cb)
+    with pytest.raises(ValueError, match=missing):
+        write_index_stream(tmp_path / "stream.txt", res.indices, cb.magnitudes.size)
 
 
 @pytest.mark.parametrize("mode", ["exact", "memoryless"])

@@ -1,8 +1,11 @@
 """Unit tests for zero-forcing beamforming, SINR/rate accounting, and the
 sum-rate comparison harness."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import exp1
 
 from grasspc import (
     Beamformers,
@@ -235,3 +238,17 @@ def test_run_sumrate_rejects_mismatched_codebook():
     wrong = ShapeGainCodebook(best_packing(3, 16), uniform_magnitude(4))
     with pytest.raises(ValueError, match="n_t"):
         run_sumrate_experiment(config, wrong)
+
+
+def test_perfect_csi_rows_match_the_zero_forcing_closed_form():
+    # With perfect CSI and M = U antennas and users, each user's zero-forcing
+    # gain |h_u^H v_u|^2 is Exp(1), so the ergodic sum rate at linear SNR rho
+    # is U e^{U/rho} E1(U/rho) / ln 2.
+    config = SumRateConfig(
+        schemes=("perfect_csi",), snr_db_grid=(0, 10, 20, 30), trials=200, steps=40, discard=20
+    )
+    assert config.n_t == config.users == 4
+    for row in run_sumrate_experiment(config):
+        x = config.users / 10.0 ** (row.snr_db / 10.0)
+        exact = config.users * math.exp(x) * exp1(x) / math.log(2.0)
+        assert abs(row.sum_rate_mean - exact) < 5.0 * row.sum_rate_stderr, (row, exact)
