@@ -10,11 +10,11 @@ G(n, 1); all randomness flows through named Philox substreams so that any
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import j0 as _j0
 
 from .geometry import GrassmannPoint
 
@@ -37,15 +37,45 @@ __all__ = [
 _LOG_CLAMP = 700.0
 
 
+#: Trapezoid nodes for J0's integral form, used beyond |x| = 8.
+_J0_NODES = 64
+
+
+def _j0(x: float) -> float:
+    x = abs(x)
+    if x <= 8.0:
+        # The power series sum_k (-x^2/4)^k / (k!)^2, in + - * / only, so the
+        # value is the same on every IEEE 754 platform.  Past the largest
+        # term the terms shrink, and once one no longer moves the total the
+        # rest cannot either.
+        q = -0.25 * x * x
+        term = total = 1.0
+        k = 0
+        while True:
+            k += 1
+            term = term * q / (k * k)
+            if total + term == total:
+                return total
+            total = total + term
+    # J0(x) = (1/pi) int_0^pi cos(x sin t) dt: the trapezoid rule on this
+    # periodic integrand errs by about J_{2N}(x), far below 1e-16 for x <= 20.
+    total = 0.0
+    for j in range(_J0_NODES):
+        total += math.cos(x * math.sin(j * math.pi / _J0_NODES))
+    return total / _J0_NODES
+
+
 def bessel_j0(x):
     """Bessel function of the first kind J0, elementwise, float64.
 
-    Absolute error is far below the 1e-10 contract on [0, 20].
+    Absolute error is below 1e-13 on [0, 20].  For |x| <= 8, which covers
+    every Doppler value the experiments use, the value is computed with
+    + - * / only and so does not depend on the platform's libm.
     """
-    out = _j0(x)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return np.asarray(out, dtype=np.float64)
+    if np.ndim(x) == 0:
+        return _j0(float(x))
+    arr = np.asarray(x, dtype=np.float64)
+    return np.array([_j0(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:

@@ -323,12 +323,10 @@ def _db(mean: float) -> float:
 def _pooled_mse(traces, codebook, errors="est_err", free_magnitude=False) -> float:
     """Mean squared chordal ``errors`` (``est_err`` or ``pred_err``) of the
     closed loop from an exact start, re-initialized on track loss, pooled
-    over ``traces``."""
-    squared = [
-        getattr(_encode_rows(t.normalized, codebook, "exact", free_magnitude, "exact"), errors) ** 2
-        for t in traces
-    ]
-    return float(np.mean(np.concatenate(squared)))
+    over ``traces``, which are encoded as one batch."""
+    rows = np.array([t.normalized for t in traces])
+    run = _encode_rows(rows, codebook, "exact", free_magnitude, "exact")
+    return float(np.mean(getattr(run, errors).ravel() ** 2))
 
 
 def _train_two_stage(trace, options: dict, seed: int, log=lambda line: None):

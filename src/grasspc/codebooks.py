@@ -226,14 +226,14 @@ def _harvest_closed_rows(rows, codebook: ShapeGainCodebook) -> TrainingSet:
     """:func:`harvest_closed_loop` on a sequence of unit rows."""
     from .codec import _encode_rows  # local import to avoid a cycle
 
-    run = _encode_rows(rows, codebook, "exact", reseed="exact")
+    run = _encode_rows(np.asarray(rows)[None], codebook, "exact", reseed="exact")
     tangents = []
-    for base, target in zip(run.predictions, rows[2:]):
+    for base, target in zip(run.predictions[0], rows[2:]):
         try:
             tangents.append(_log_coords(base, target))
         except CutLocusError:
             pass
-    return _training_set(tangents, run.reinits)
+    return _training_set(tangents, int(run.reinits[0]))
 
 
 def harvest_open_loop(points) -> TrainingSet:

@@ -5,15 +5,38 @@ estimate, one-step prediction) and repeat one update per step: the encoder
 quantizes the observation's error tangent at the prediction against a
 shape-gain codebook and sends only the codeword index; both ends step along
 that codeword and extrapolate the next prediction.  ``_run`` is the one
-implementation of that update, on plain complex rows: the encoder, the
-decoder, the closed-loop training harvest and every experiment run it (the
-encoder side through ``_encode_rows``), so the two estimate sequences are
-bit-identical as long as the index stream is intact.  Points are built only
-where a public function takes or returns them.
+implementation of that update.  It steps B independent sessions at once on
+real and imaginary float columns (Python floats when B = 1, (B,) arrays
+otherwise): the encoder, the decoder, the closed-loop training harvest and
+every experiment run it, the experiments with all their sessions in one
+batch (through ``_encode_rows``).  Points are built only where a public
+function takes or returns them.
+
+Determinism.  Every quantity of the update (the prediction, the codeword
+reconstruction, the geodesic step, norms, chordal errors and the joint- and
+direction-only search scores) uses only elementwise + - * / and sqrt in a
+fixed order, with sums over coordinates run left to right and no BLAS call
+or complex ufunc multiply.  So, byte for byte:
+
+* a session's indices, estimates, errors and re-inits are the same alone or
+  in a batch of any size, and whatever chunk a batch is split into;
+* the decoder replays the encoder's estimates from the initial state and
+  the index stream under any OpenBLAS kernel and any numpy SIMD dispatch.
+
+Still allowed to vary: the BLAS scores of ``codebooks._nearest``, which pick
+memoryless indices and the seed codewords of memoryless initialization (and
+so could differ only at near-ties); the near-ties of ``best_packing``; libm's
+``cos``/``sin`` of the magnitude levels, taken once per codebook (the
+direction-only search needs no libm: half-angle formulas give its arcs); the
+traces themselves (their Philox normals across numpy versions, and numpy's
+norms in their normalization); and the BLAS dot products of the public
+``chordal_distance``, ``log_map`` and ``parallel_transport``, which the
+training harvests use for their tangents but the update never calls.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -26,10 +49,16 @@ from .geometry import (
     CutLocusError,
     GrassmannPoint,
     TangentVector,
-    _chord_from_coords,
-    _geodesic_coords,
-    _predict_coords,
-    chordal_distance,
+    _chord_cols,
+    _cols,
+    _csum,
+    _geodesic_cols,
+    _inner,
+    _predict_cols,
+    _row,
+    _sqnorm,
+    _sqrt,
+    _unit,
 )
 
 __all__ = [
@@ -129,69 +158,6 @@ def memoryless_quantize(
     return idx, GrassmannPoint.from_vector(direction_codebook.entries[idx])
 
 
-def _projected_directions(codebook_entries: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Direction codewords projected onto the tangent space at ``base`` and
-    renormalized; rows that collapse onto the base line become zero rows
-    (their candidates reduce to the base point for every magnitude)."""
-    inners = codebook_entries @ base.conj()
-    w = codebook_entries - np.outer(inners, base)
-    norms = np.linalg.norm(w, axis=1)
-    keep = norms > PROJECTION_COLLAPSE_TOL
-    out = np.zeros_like(w)
-    out[keep] = w[keep] / norms[keep, None]
-    return out
-
-
-def _joint_search(base, observed, rho, chord, entries, cos_m, sin_m) -> tuple[int, int]:
-    """:func:`quantize_tangent` on plain rows, given rho = base^H observed,
-    their chordal distance and the magnitudes' (1, N_m) cosines and sines."""
-    if chord < ZERO_TANGENT_TOL:
-        return 0, 0
-    s = _projected_directions(entries, base).conj() @ observed
-    inner = cos_m * rho + sin_m * s[:, None]
-    return divmod(int(np.argmax(np.abs(inner) ** 2)), cos_m.size)
-
-
-def _direction_only(base, observed, rho, chord, entries) -> tuple[float, np.ndarray]:
-    """(magnitude, direction) of the best direction codeword with its
-    continuously optimal, unquantized magnitude.
-
-    This is the infinite-resolution limit of the joint search: for each
-    direction codeword the score |cos(m) rho + sin(m) s_i|^2 is a sinusoid in
-    2m, so the optimal magnitude has a closed form.
-    """
-    if chord < ZERO_TANGENT_TOL:
-        return 0.0, np.zeros_like(base)
-    proj = _projected_directions(entries, base)
-    s = proj.conj() @ observed
-    bb = abs(rho) ** 2
-    ss = np.abs(s) ** 2
-    cross = (np.conj(rho) * s).real
-    # score(m) = (bb+ss)/2 + ((bb-ss)/2) cos 2m + cross sin 2m on m in
-    # [0, pi/2]; the interior optimum exists iff cross >= 0, otherwise the
-    # best in-range magnitude is an endpoint (0 or pi/2).
-    interior, endpoint = cross >= 0.0, np.where(bb >= ss, 0.0, np.pi / 2)
-    m_best = np.where(interior, 0.5 * np.arctan2(2.0 * cross, bb - ss), endpoint)
-    peak = 0.5 * (bb + ss) + np.hypot(0.5 * (bb - ss), cross)
-    score = np.where(interior, peak, np.maximum(bb, ss))
-    d_idx = int(np.argmax(score))
-    magnitude = float(min(m_best[d_idx], np.pi / 2))
-    if magnitude <= ZERO_TANGENT_TOL or np.linalg.norm(proj[d_idx]) == 0.0:
-        return 0.0, np.zeros_like(base)
-    return magnitude, proj[d_idx]
-
-
-def _codeword(base, entries, levels, d_idx, m_idx) -> tuple[float, np.ndarray]:
-    """(magnitude, direction) of :func:`reconstruct_codeword` on plain rows."""
-    magnitude = float(levels[m_idx])
-    c = entries[d_idx]
-    w = c - np.vdot(base, c) * base
-    wn = np.linalg.norm(w)
-    if magnitude == 0.0 or wn < PROJECTION_COLLAPSE_TOL:
-        return 0.0, np.zeros_like(base)
-    return magnitude, w / wn
-
-
 def _sendable(index: CodewordIndex | None, step: int) -> CodewordIndex:
     if index is None:
         raise ValueError(f"index {step} of the stream is None: {_NO_WIRE_FORM}")
@@ -203,7 +169,179 @@ def _pair(index: CodewordIndex, codebook: ShapeGainCodebook) -> tuple[int, int]:
         raise IndexError(f"direction_index {index.direction_index} out of range")
     if not (0 <= index.magnitude_index < codebook.magnitudes.size):
         raise IndexError(f"magnitude_index {index.magnitude_index} out of range")
-    return index.direction_index, index.magnitude_index
+    return int(index.direction_index), int(index.magnitude_index)
+
+
+# ---------------------------------------------------------------------------
+# The kernel: B sessions per step on fixed-order float columns (see the
+# column helpers in ``geometry``).  A session is one Python float per
+# coordinate part when B = 1, and a (B,) array slot otherwise.
+
+#: Larger encoder batches run this many sessions per kernel call, which
+#: bounds the search's (N_d, N_m, B) temporaries; the bits do not depend on it.
+_CHUNK = 256
+
+
+class _Book:
+    """A shape-gain codebook laid out for the kernel: each codeword's
+    columns (lists of floats for one session, (n, N_d) arrays for a batch),
+    the real-split conjugate codebook ``split`` (2n, 2, 1, N_d, 1) whose
+    product with a point's stacked (re; im) columns gives the (re; im) terms
+    of C^H x, the squared codeword norms (N_d, 1), and the magnitude levels'
+    cosines and sines, taken once from libm."""
+
+    def __init__(self, codebook: ShapeGainCodebook):
+        entries = codebook.directions.entries
+        levels = codebook.magnitudes.entries.tolist()
+        self.n_m = len(levels)
+        self.re, self.im = entries.real.tolist(), entries.imag.tolist()
+        self.cr, self.ci = cr, ci = entries.real.T.copy(), entries.imag.T.copy()  # (n, N_d)
+        split = np.array(((cr, -ci), (ci, cr))).transpose(0, 2, 1, 3)  # (re/im x, k, re/im, d)
+        self.split = split.reshape(2 * len(cr), 2, 1, -1, 1)
+        self.sq = _sqnorm(cr, ci)[:, None]
+        self.cos = [math.cos(m) for m in levels]
+        self.sin = [math.sin(m) for m in levels]
+        self.cos_col = np.array(self.cos)[:, None]
+        self.sin_col = np.array(self.sin)[:, None]
+
+    def codeword(self, d):
+        if type(d) is int:
+            return self.re[d], self.im[d]
+        return self.cr[:, d], self.ci[:, d]
+
+    def level(self, m):
+        if type(m) is int:
+            return self.cos[m], self.sin[m]
+        return self.cos_col[m, 0], self.sin_col[m, 0]
+
+
+def _stacked(rho):
+    """(re, im) of per-session scalars as a (2, 1, B) array."""
+    return np.array(rho, dtype=np.float64).reshape(2, 1, -1)
+
+
+def _projections(book: _Book, predicted, observed, rho):
+    """Each codeword's direction, projected onto the tangent space at the
+    prediction p and renormalized, against the observation o: with g = C^H p,
+    h = C^H o and rho = p^H o,
+
+        s_d = (h_d - g_d rho) / sqrt(||c_d||^2 - |g_d|^2),
+
+    and 0 where the projection collapses.  Returns s as (re; im), shape
+    (2, N_d, B)."""
+    n = len(predicted[0])
+    x = np.array([*predicted[0], *predicted[1], *observed[0], *observed[1]])
+    x = x.reshape(2, 2 * n, -1).transpose(1, 0, 2)[:, None, :, None]  # (2n, 1, p/o, 1, B)
+    split = book.split
+    if x.shape[-1] == 1:  # one small product costs the fewest calls
+        terms = split * x  # (2n, re/im, p/o, N_d, B)
+        g, h = _csum(terms[:n] + terms[n:]).swapaxes(0, 1)
+    else:  # one coordinate at a time keeps a batch's temporaries in cache
+        g, h = _csum(split[k] * x[k] + split[n + k] * x[n + k] for k in range(n)).swapaxes(0, 1)
+    rr, ri = rho
+    g_rho = g * rr + g[::-1] * _stacked((-ri, ri))
+    gg = g * g
+    den = book.sq - (gg[0] + gg[1])
+    return (h - g_rho) / np.sqrt(np.where(den > PROJECTION_COLLAPSE_TOL**2, den, np.inf))
+
+
+def _pick(book: _Book, predicted, observed, rho, chord):
+    """The joint search: per session, the (d, m) whose geodesic endpoint
+    cos(m) p + sin(m) s_d is nearest the observation, i.e. the first maximum
+    of |cos(m) rho + sin(m) s_d|^2 in serialized order.  A numerically zero
+    error tangent short-circuits to (0, 0)."""
+    if type(chord) is float and chord < ZERO_TANGENT_TOL:
+        return 0, 0
+    inner = book.sin_col * _projections(book, predicted, observed, rho)[:, :, None]
+    inner += book.cos_col * _stacked(rho)[:, None]
+    inner *= inner
+    score = inner[0] + inner[1]  # (N_d, N_m, B)
+    flat = score.reshape(-1, score.shape[-1]).argmax(axis=0)
+    if type(chord) is float:
+        return divmod(int(flat[0]), book.n_m)
+    flat[chord < ZERO_TANGENT_TOL] = 0
+    return divmod(flat, book.n_m)
+
+
+def _free_arc(cross: float, ss: float, bb: float, chord: float):
+    # score(m) = (bb + ss)/2 + half cos 2m + cross sin 2m on m in [0, pi/2],
+    # half = (bb - ss)/2: the interior optimum exists iff cross >= 0, at
+    # (cos 2m, sin 2m) = (half, cross) / r; otherwise the best in-range
+    # magnitude is an endpoint (0 or pi/2).  Half-angle formulas give
+    # (cos m, sin m) with + - * / and sqrt only.
+    if chord < ZERO_TANGENT_TOL:
+        return 1.0, 0.0
+    if cross < 0.0:
+        return (1.0, 0.0) if bb >= ss else (0.0, 1.0)
+    half = 0.5 * (bb - ss)
+    r = math.sqrt(half * half + cross * cross)
+    if r == 0.0:
+        return 1.0, 0.0
+    c2, s2 = half / r, cross / r
+    if c2 >= 0.0:
+        cos = math.sqrt(0.5 * (1.0 + c2))
+        sin = s2 / (2.0 * cos)
+    else:
+        sin = math.sqrt(0.5 * (1.0 - c2))
+        cos = s2 / (2.0 * sin)
+    return (1.0, 0.0) if sin <= ZERO_TANGENT_TOL else (cos, sin)
+
+
+def _pick_free(book: _Book, predicted, observed, rho, chord):
+    """The infinite-resolution limit of the joint search: per session, the
+    best direction codeword with its continuously optimal, unquantized
+    magnitude, as (d, cos, sin) of that magnitude."""
+    sr, si = _projections(book, predicted, observed, rho)
+    rr, ri = rho
+    bb = rr * rr + ri * ri
+    ss = sr * sr + si * si
+    cross = rr * sr + ri * si
+    half = 0.5 * (bb - ss)
+    peak = 0.5 * (bb + ss) + np.sqrt(half * half + cross * cross)
+    d = np.where(cross >= 0.0, peak, np.maximum(bb, ss)).argmax(axis=0)
+    at = (d, np.arange(d.size))
+    arcs = [
+        _free_arc(*args)
+        for args in zip(
+            cross[at].tolist(),
+            ss[at].tolist(),
+            np.broadcast_to(bb, d.shape).tolist(),
+            np.broadcast_to(chord, d.shape).tolist(),
+        )
+    ]
+    cos, sin = zip(*arcs)
+    if type(chord) is float:
+        return int(d[0]), cos[0], sin[0]
+    return d, np.array(cos), np.array(sin)
+
+
+def _direction(predicted, codeword):
+    """The codeword projected onto the tangent space at the prediction,
+    c - (p^H c) p, and its norm."""
+    pr, pi = predicted
+    cr, ci = codeword
+    ur, ui = _inner(pr, pi, cr, ci)
+    wr = [x - (ur * a - ui * b) for x, a, b in zip(cr, pr, pi)]
+    wi = [y - (ur * b + ui * a) for y, a, b in zip(ci, pr, pi)]
+    return wr, wi, _sqrt(_sqnorm(wr, wi))
+
+
+def _along(book: _Book, predicted, d, cos, sin):
+    """The estimate: the geodesic from the prediction along codeword ``d``'s
+    projected, renormalized direction, for the arc length of the given
+    cosine and sine.  A zero arc (sin == 0) or a projection that collapses
+    leaves the prediction."""
+    wr, wi, wn = _direction(predicted, book.codeword(d))
+    keep = (wn >= PROJECTION_COLLAPSE_TOL) & (sin > 0.0)
+    if type(keep) is bool:
+        if not keep:
+            return predicted
+    else:
+        wn = np.where(keep, wn, 1.0)
+    estimate = _geodesic_cols(*predicted, [x / wn for x in wr], [y / wn for y in wi], cos, sin)
+    if type(keep) is bool:
+        return estimate
+    return tuple([np.where(keep, e, p) for e, p in zip(*part)] for part in zip(estimate, predicted))
 
 
 def quantize_tangent(
@@ -223,10 +361,9 @@ def quantize_tangent(
     (entry 0 of the sorted codebook) wins, which keeps the degenerate tie
     deterministic instead of resting on rounding noise.
     """
-    p, o, m = predicted.coords, observed.coords, codebook.magnitudes.entries[None, :]
-    chord = chordal_distance(predicted, observed)
-    entries = codebook.directions.entries
-    return CodewordIndex(*_joint_search(p, o, np.vdot(p, o), chord, entries, np.cos(m), np.sin(m)))
+    p, o = _cols(predicted.coords), _cols(observed.coords)
+    rho = _inner(*p, *o)
+    return CodewordIndex(*_pick(_Book(codebook), p, o, rho, _chord_cols(*p, *o, rho)))
 
 
 def reconstruct_codeword(
@@ -242,31 +379,64 @@ def reconstruct_codeword(
     geodesic endpoint on the manifold.  A codeword collinear with the base
     (projection collapse) reconstructs to the zero tangent.
     """
-    d_idx, m_idx = _pair(index, codebook)
-    entries, levels = codebook.directions.entries, codebook.magnitudes.entries
-    return TangentVector(predicted, *_codeword(predicted.coords, entries, levels, d_idx, m_idx))
+    d, m = _pair(index, codebook)
+    magnitude = float(codebook.magnitudes.entries[m])
+    wr, wi, wn = _direction(_cols(predicted.coords), _cols(codebook.directions.entries[d]))
+    if magnitude == 0.0 or wn < PROJECTION_COLLAPSE_TOL:
+        return TangentVector.zero(predicted)
+    return TangentVector(predicted, magnitude, _row([x / wn for x in wr], [y / wn for y in wi]))
 
 
 def _seed(x0: np.ndarray, x1: np.ndarray, codebook, mode: str):
-    """(previous, current, predicted) rows seeded from two observations."""
+    """One session's (previous, current, predicted) columns, seeded from two
+    observed rows."""
     if mode == "exact":
-        return x0, x1, _predict_coords(x0, x1)
+        q0, q1 = _cols(x0), _cols(x1)
+        a, *predicted = _predict_cols(*q0, *q1)
+        if a <= RHO_MIN:
+            raise CutLocusError(a)
+        return q0, q1, tuple(predicted)
     if mode != "memoryless":
         raise ValueError(f"mode must be 'exact' or 'memoryless', got {mode!r}")
     if codebook is None:
         raise ValueError("memoryless initialization requires a codebook")
     entries = codebook.directions.entries
-    c0 = entries[_nearest(x0[None, :], entries)[0][0]]
-    q0 = c0 / np.linalg.norm(c0)
+    q0 = _unit(*_cols(entries[_nearest(x0[None, :], entries)[0][0]]))
     # _nearest's pick first (the stable ranking starts with it), then the rest.
     for i1 in np.argsort(-_scores(x1[None, :], entries)[0], kind="stable"):
-        q1 = entries[i1] / np.linalg.norm(entries[i1])
-        try:
-            return q0, q1, _predict_coords(q0, q1)
-        except CutLocusError as exc:
-            last_exc = exc
-    message = "no codeword for the second point can seed the predictor"
-    raise CutLocusError(last_exc.rho_abs, message)
+        q1 = _unit(*_cols(entries[i1]))
+        rho_abs, *predicted = _predict_cols(*q0, *q1)
+        if rho_abs > RHO_MIN:
+            return q0, q1, tuple(predicted)
+    raise CutLocusError(rho_abs, "no codeword for the second point can seed the predictor")
+
+
+def _stack(seeds):
+    """Column form of a batch: each point's parts as (n, B) arrays."""
+    return tuple(
+        tuple(np.array([seed[p][c] for seed in seeds]).T.copy() for c in (0, 1))
+        for p in range(3)
+    )
+
+
+def _reseeded(point, seeds: dict, p: int):
+    """A batch point with the sessions in ``seeds`` replaced by their
+    re-seeded point ``p``; the batch's own columns are left as they are."""
+    parts = tuple([np.array(col) for col in part] for part in point)
+    for b, seed in seeds.items():
+        for c in (0, 1):
+            for col, value in zip(parts[c], seed[p][c]):
+                col[b] = value
+    return parts
+
+
+def _rows(points, sessions: int) -> np.ndarray:
+    """Complex rows (B, len(points), n) of a sequence of column-form points."""
+    n = len(points[0][0])
+    out = np.empty((len(points), n, sessions), dtype=np.complex128)
+    out.real = np.reshape([p[0] for p in points], out.shape)
+    out.imag = np.reshape([p[1] for p in points], out.shape)
+    return out.transpose(2, 0, 1)
 
 
 def _state(rows, time: int) -> GpcState:
@@ -289,78 +459,127 @@ def initialize(
     quantized points cannot seed the predictor (cut locus), the second point
     falls back to its next-best codewords before giving up.
     """
-    return _state(_seed(x0.coords, x1.coords, codebook, mode), 2)
+    return _state(_rows(_seed(x0.coords, x1.coords, codebook, mode), 1)[0], 2)
 
 
 _Run = namedtuple("_Run", "pairs estimates predictions pred_err est_err state time reinits")
 
 
 def _run(codebook, state, time, observed=None, pairs=None, free_magnitude=False, reseed=None):
-    """The codec update, repeated over a session on plain complex rows.
+    """The codec update for B sessions in lock step.
 
-    Each step starts from the (previous, current, predicted) ``state`` at
-    step ``time``, picks a codeword, steps from the prediction along it and
-    extrapolates the next prediction.  The encoder passes the trace's
-    ``observed`` rows (rows 0 and 1 seeded ``state``) and searches each
-    codeword; the decoder passes the received index ``pairs``.  Both ends
-    run the same float operations in the same order, which keeps them
-    bit-synchronized.  On track loss the encoder re-seeds from its two
-    latest observations in mode ``reseed``; without one, and always in the
-    decoder, :class:`TrackingLostError` is raised.
+    ``state`` holds every session's (previous, current, predicted) points in
+    column form at step ``time``.  Each step picks a codeword per session,
+    steps from the prediction along it and extrapolates the next prediction.
+    The encoder passes the sessions' observed rows, shape (B, T, n), whose
+    rows 0 and 1 seeded ``state``, and searches every codeword; the decoder
+    (B = 1) passes the received index ``pairs``.  Both ends run the same
+    float operations in the same order, which keeps them bit-synchronized.
+
+    On track loss a session leaves the step: the encoder re-seeds it alone
+    from its two latest observations in mode ``reseed`` and counts a re-init.
+    Without ``reseed``, and always in the decoder, :class:`TrackingLostError`
+    is raised.  The returned arrays lead with the session axis: ``pairs``
+    (B, T, 2), -1 where a step has no wire form; ``estimates`` and
+    ``predictions`` (B, T, n); ``pred_err`` and ``est_err`` (B, T), empty for
+    the decoder; ``state`` (B, 3, n); ``reinits`` (B,).
     """
-    entries, levels = codebook.directions.entries, codebook.magnitudes.entries
-    cos_m, sin_m = np.cos(levels)[None, :], np.sin(levels)[None, :]
-    decoding = observed is None
-    steps = len(pairs) if decoding else len(observed) - 2
+    book = _Book(codebook)
     prev, curr, predicted = state
-    sent, estimates, predictions = [], [], []
-    pred_err = np.empty(0 if decoding else steps)
-    est_err = np.empty_like(pred_err)
-    reinits = 0
+    single = type(prev[0]) is list
+    sessions = 1 if single else len(prev[0][0])
+    decoding = observed is None
+    if decoding:
+        steps = len(pairs)
+    else:
+        steps = observed.shape[1] - 2
+        if single:
+            obs_re, obs_im = observed[0].real.tolist(), observed[0].imag.tolist()
+        else:  # (T, n, B)
+            obs_re = np.moveaxis(observed.real, 0, -1).copy()
+            obs_im = np.moveaxis(observed.imag, 0, -1).copy()
+    sent, estimates, predictions, pred_err, est_err = [], [], [], [], []
+    reinits = np.zeros(sessions, dtype=int)
     for j in range(steps):
         predictions.append(predicted)
-        try:
-            if decoding:
-                pair = pairs[j]
-            else:
-                obs = observed[j + 2]
-                pred_err[j] = chord = _chord_from_coords(predicted, obs)
-                rho = np.vdot(predicted, obs)
-                if abs(rho) <= RHO_MIN:
-                    raise CutLocusError(abs(rho))
-                if free_magnitude:
-                    pair = None
-                    angle, direction = _direction_only(predicted, obs, rho, chord, entries)
-                else:
-                    pair = _joint_search(predicted, obs, rho, chord, entries, cos_m, sin_m)
-            if pair is not None:
-                angle, direction = _codeword(predicted, entries, levels, *pair)
-            estimate = predicted if angle == 0.0 else _geodesic_coords(predicted, direction, angle)
-            next_predicted = _predict_coords(curr, estimate)
-        except CutLocusError as exc:
-            if decoding or reseed is None:
-                raise TrackingLostError(exc.rho_abs, time) from exc
-            reinits += 1
-            prev, curr, predicted = _seed(observed[j + 1], obs, codebook, reseed)
-            pair, estimate = None, curr
+        if decoding:
+            d, m = pairs[j]
+            estimate = _along(book, predicted, d, *book.level(m))
+            a_obs = math.inf
         else:
-            prev, curr, predicted = curr, estimate, next_predicted
+            obs = (obs_re[j + 2], obs_im[j + 2])
+            rho = _inner(*predicted, *obs)
+            a_obs = _sqrt(rho[0] * rho[0] + rho[1] * rho[1])
+            chord = _chord_cols(*predicted, *obs, rho)
+            pred_err.append(chord)
+            if free_magnitude:
+                d, cos, sin = _pick_free(book, predicted, obs, rho, chord)
+                m = -1
+            else:
+                d, m = _pick(book, predicted, obs, rho, chord)
+                cos, sin = book.level(m)
+            estimate = _along(book, predicted, d, cos, sin)
+        a_next, *following = _predict_cols(*curr, *estimate)
+        lost = (a_obs <= RHO_MIN) | (a_next <= RHO_MIN)
+        if lost if single else lost.any():
+            if decoding or reseed is None:
+                a = min(a_obs, a_next) if single else np.minimum(a_obs, a_next)[lost].min()
+                raise TrackingLostError(a, time)
+            lost_at = [0] if single else np.flatnonzero(lost).tolist()
+            seeds = {b: _seed(observed[b, j + 1], observed[b, j + 2], codebook, reseed) for b in lost_at}
+            reinits[lost_at] += 1
+            if single:
+                prev, curr, predicted = seeds[0]
+                d = m = -1
+            else:
+                prev, curr, predicted = (
+                    _reseeded(point, seeds, p)
+                    for p, point in enumerate((curr, estimate, tuple(following)))
+                )
+                d, m = np.where(lost, -1, d), np.where(lost, -1, m)
+            estimate = curr
+        else:
+            prev, curr, predicted = curr, estimate, tuple(following)
         time += 1
-        sent.append(pair)
+        if not free_magnitude:
+            sent.append((d, m))
         estimates.append(estimate)
         if not decoding:
-            est_err[j] = _chord_from_coords(estimate, obs)
-    state = (prev, curr, predicted)
-    return _Run(sent, estimates, predictions, pred_err, est_err, state, time, reinits)
+            est_err.append(_chord_cols(*estimate, *obs, _inner(*estimate, *obs)))
+    if free_magnitude:
+        pairs = np.full((sessions, steps, 2), -1)
+    else:
+        pairs = np.reshape(sent, (steps, 2, sessions)).transpose(2, 0, 1)
+    errors = (np.reshape(e, (len(e), sessions)).T for e in (pred_err, est_err))
+    return _Run(
+        pairs,
+        _rows(estimates, sessions),
+        _rows(predictions, sessions),
+        *errors,
+        _rows((prev, curr, predicted), sessions),
+        time,
+        reinits,
+    )
 
 
 def _encode_rows(rows, codebook, mode: str, free_magnitude=False, reseed=None) -> _Run:
-    """The encoder over a whole trace of unit rows: the state is seeded from
-    rows 0 and 1 in ``mode`` and :func:`_run` encodes the rest."""
-    if len(rows) < 3:
+    """The encoder over B traces of unit rows, shape (B, T, n): each session
+    is seeded from its rows 0 and 1 in ``mode`` and :func:`_run` encodes the
+    rest, ``_CHUNK`` sessions per call."""
+    if rows.shape[1] < 3:
         raise ValueError("need at least 3 points (two seed the state)")
-    state = _seed(rows[0], rows[1], codebook, mode)
-    return _run(codebook, state, 2, rows, None, free_magnitude, reseed)
+    runs = []
+    for lo in range(0, len(rows), _CHUNK):
+        part = rows[lo : lo + _CHUNK]
+        seeds = [_seed(r[0], r[1], codebook, mode) for r in part]
+        state = seeds[0] if len(seeds) == 1 else _stack(seeds)
+        runs.append(_run(codebook, state, 2, part, None, free_magnitude, reseed))
+    if len(runs) == 1:
+        return runs[0]
+    return _Run(
+        *(np.concatenate(field) for field in list(zip(*runs))[:6]), runs[0].time,
+        np.concatenate([run.reinits for run in runs]),
+    )
 
 
 @dataclass(frozen=True)
@@ -406,14 +625,15 @@ def encode_trace(
     if on_track_loss not in ("raise", "reinit"):
         raise ValueError(f"on_track_loss must be 'raise' or 'reinit', got {on_track_loss!r}")
     reseed = mode if on_track_loss == "reinit" else None
-    run = _encode_rows([p.coords for p in points], codebook, mode, free_magnitude, reseed)
+    rows = np.array([p.coords for p in points])[None]
+    run = _encode_rows(rows, codebook, mode, free_magnitude, reseed)
     return EncodeResult(
-        tuple(None if p is None else CodewordIndex(*p) for p in run.pairs),
-        tuple(GrassmannPoint._wrap(e) for e in run.estimates),
-        run.pred_err,
-        run.est_err,
-        _state(run.state, run.time),
-        run.reinits,
+        tuple(None if d < 0 else CodewordIndex(d, m) for d, m in run.pairs[0].tolist()),
+        tuple(GrassmannPoint._wrap(e) for e in run.estimates[0]),
+        run.pred_err[0],
+        run.est_err[0],
+        _state(run.state[0], run.time),
+        int(run.reinits[0]),
     )
 
 
@@ -427,9 +647,9 @@ def decode_trace(
     pairs = [_pair(_sendable(index, step), codebook) for step, index in enumerate(indices)]
     if not pairs:
         return (), state
-    rows = (state.est_prev.coords, state.est_curr.coords, state.predicted.coords)
-    run = _run(codebook, rows, state.time, pairs=pairs)
-    return tuple(GrassmannPoint._wrap(e) for e in run.estimates), _state(run.state, run.time)
+    points = (_cols(p.coords) for p in (state.est_prev, state.est_curr, state.predicted))
+    run = _run(codebook, tuple(points), state.time, pairs=pairs)
+    return tuple(GrassmannPoint._wrap(e) for e in run.estimates[0]), _state(run.state[0], run.time)
 
 
 def write_index_stream(path, indices, n_m: int):

@@ -85,6 +85,128 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
+# ---------------------------------------------------------------------------
+# Fixed-order column arithmetic
+#
+# The codec's synchronized update runs on points held as real and imaginary
+# columns: a point is a pair (re, im) of n-long sequences whose entries are
+# Python floats for one session, or (B,) float64 arrays for B sessions at
+# once.  These helpers use only elementwise + - * / and sqrt and sum over the
+# n coordinates strictly left to right.  IEEE 754 rounds each such operation
+# correctly, so a session gets the same bits alone or in a batch of any size,
+# and under any BLAS library or SIMD dispatch.
+
+
+def _sqrt(x):
+    return math.sqrt(x) if type(x) is float else np.sqrt(x)
+
+
+def _csum(terms):
+    """Sum of two or more floats or arrays, strictly left to right."""
+    terms = iter(terms)
+    total = next(terms) + next(terms)
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _inner(xr, xi, yr, yi):
+    """(re, im) of x^H y: the terms conj(x_k) y_k, summed as :func:`_csum` does."""
+    terms = zip(xr, xi, yr, yi)
+    a, b, c, d = next(terms)
+    e, f, g, h = next(terms)
+    re, im = (a * c + b * d) + (e * g + f * h), (a * d - b * c) + (e * h - f * g)
+    for a, b, c, d in terms:
+        re, im = re + (a * c + b * d), im + (a * d - b * c)
+    return re, im
+
+
+def _sqnorm(vr, vi):
+    """||v||^2: the terms |v_k|^2, summed as :func:`_csum` does."""
+    terms = zip(vr, vi)
+    a, b = next(terms)
+    c, d = next(terms)
+    total = (a * a + b * b) + (c * c + d * d)
+    for a, b in terms:
+        total = total + (a * a + b * b)
+    return total
+
+
+def _unit(vr, vi):
+    """v / ||v||, as (re, im) lists."""
+    nrm = _sqrt(_sqnorm(vr, vi))
+    return [a / nrm for a in vr], [b / nrm for b in vi]
+
+
+def _cols(row: np.ndarray):
+    """A complex row as (re, im) lists of Python floats."""
+    return row.real.tolist(), row.imag.tolist()
+
+
+def _row(re, im) -> np.ndarray:
+    """Inverse of :func:`_cols`: a fresh complex row."""
+    out = np.empty(len(re), dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Complex rows (..., n) scaled to unit norm, each as :func:`_unit` would."""
+    nrm = np.sqrt(_sqnorm(np.moveaxis(rows.real, -1, 0), np.moveaxis(rows.imag, -1, 0)))
+    out = np.empty_like(rows)
+    out.real = rows.real / nrm[..., None]
+    out.imag = rows.imag / nrm[..., None]
+    return out
+
+
+def _chord_cols(xr, xi, yr, yi, rho):
+    """Chordal distance over columns, given rho = x^H y as (re, im).
+
+    Nearly coincident lines (1 - |rho|^2 <= 1e-8) take d = |rho| ||y/rho - x||:
+    1 - |rho|^2 cancels catastrophically there and has a ~sqrt(eps) noise
+    floor, while the residual keeps small distances accurate to ~1e-15.
+    """
+    rr, ri = rho
+    aa = rr * rr + ri * ri
+    if type(aa) is float:
+        v = 1.0 - min(aa, 1.0)
+        if v > 1e-8 or aa == 0.0:
+            return math.sqrt(v)
+    else:
+        v = 1.0 - np.minimum(aa, 1.0)
+        near = (v <= 1e-8) & (aa > 0.0)
+        if not near.any():
+            return np.sqrt(v)
+        aa = np.where(near, aa, 1.0)
+    # y / rho = y rho^* / |rho|^2
+    wr = [(c * rr + d * ri) / aa - a for a, c, d in zip(xr, yr, yi)]
+    wi = [(d * rr - c * ri) / aa - b for b, c, d in zip(xi, yr, yi)]
+    close = _sqrt(aa) * _sqrt(_sqnorm(wr, wi))
+    return close if type(aa) is float else np.where(near, close, np.sqrt(v))
+
+
+def _predict_cols(pr, pi, cr, ci):
+    """(|rho|, re, im) of the unit prediction (|rho| + rho^*) curr - prev
+    over columns, with rho = prev^H curr; the caller guards |rho|."""
+    rr, ri = _inner(pr, pi, cr, ci)
+    a = _sqrt(rr * rr + ri * ri)
+    u = a + rr
+    vr = [u * x + ri * y - p for p, x, y in zip(pr, cr, ci)]
+    vi = [u * y - ri * x - q for q, x, y in zip(pi, cr, ci)]
+    return (a, *_unit(vr, vi))
+
+
+def _geodesic_cols(br, bi, dr, di, cos, sin):
+    """The unit point base * cos + direction * sin over columns: the geodesic
+    from ``base`` along the unit tangent ``direction``, for an arc length of
+    the given cosine and sine."""
+    return _unit(
+        [a * cos + b * sin for a, b in zip(br, dr)],
+        [a * cos + b * sin for a, b in zip(bi, di)],
+    )
+
+
 def _as_vector(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != 1:
@@ -311,8 +433,8 @@ def log_map(base: GrassmannPoint, target: GrassmannPoint) -> TangentVector:
 
 def _geodesic_coords(base: np.ndarray, direction: np.ndarray, angle: float) -> np.ndarray:
     """:func:`exp_map` on plain rows, for arc length ``angle``."""
-    v = base * np.cos(angle) + direction * np.sin(angle)
-    return v / _norm(v)
+    cos, sin = math.cos(angle), math.sin(angle)
+    return _row(*_geodesic_cols(*_cols(base), *_cols(direction), cos, sin))
 
 
 def exp_map(base: GrassmannPoint, tangent: TangentVector, t: float = 1.0) -> GrassmannPoint:
@@ -359,12 +481,10 @@ def parallel_transport(x1: GrassmannPoint, x2: GrassmannPoint) -> TangentVector:
 
 def _predict_coords(x_prev: np.ndarray, x_curr: np.ndarray) -> np.ndarray:
     """:func:`predict_one_step` on plain rows."""
-    rho = np.vdot(x_prev, x_curr)
-    a = abs(rho)
+    a, vr, vi = _predict_cols(*_cols(x_prev), *_cols(x_curr))
     if a <= RHO_MIN:
         raise CutLocusError(a)
-    v = (a + np.conj(rho)) * x_curr - x_prev
-    return v / _norm(v)
+    return _row(vr, vi)
 
 
 def predict_one_step(x_prev: GrassmannPoint, x_curr: GrassmannPoint) -> GrassmannPoint:

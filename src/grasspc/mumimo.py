@@ -20,7 +20,7 @@ import numpy as np
 from .channel import ar1_from_innovations, bessel_j0, complex_gaussian, rng_stream
 from .codebooks import ShapeGainCodebook, _nearest, best_packing, uniform_magnitude
 from .codec import _encode_rows
-from .geometry import _norm
+from .geometry import _unit_rows
 
 __all__ = [
     "RankDeficientError",
@@ -301,22 +301,28 @@ def _memoryless_trial(config: SumRateConfig, trial: int, powers) -> np.ndarray:
     return _window_mean_rates(h, quantized, powers, config.users)
 
 
-def _gpc_trial(
-    config: SumRateConfig, trial: int, fdts: float, codebook: ShapeGainCodebook, powers
-) -> np.ndarray:
+def _gpc_rates(config: SumRateConfig, fdts: float, codebook: ShapeGainCodebook, powers):
+    """Mean rates (trials, SNR) of the ``gpc`` scheme: every trial's users
+    are tracked by one batch of codec sessions."""
     alpha = bessel_j0(2.0 * math.pi * fdts)
-    true_steps = np.empty((config.window, config.users, config.n_t), dtype=np.complex128)
-    quantized = np.empty_like(true_steps)
-    for u in range(config.users):
-        z = complex_gaussian(rng_stream(config.seed, 0xA1, trial, u), (config.steps, config.n_t))
-        raw = ar1_from_innovations(z, alpha)
-        rows = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        # A second division by the norm, as from_vector did: it changes last bits of the rows.
-        rows = np.array([row / _norm(row) for row in rows])
-        run = _encode_rows(rows, codebook, "memoryless", reseed="memoryless")
-        true_steps[:, u, :] = raw[config.discard :]
-        quantized[:, u, :] = run.estimates[config.discard - 2 :]
-    return _window_mean_rates(true_steps, quantized, powers, config.users)
+    raw = np.array(
+        [
+            ar1_from_innovations(
+                complex_gaussian(rng_stream(config.seed, 0xA1, trial, u), (config.steps, config.n_t)),
+                alpha,
+            )
+            for trial in range(config.trials)
+            for u in range(config.users)
+        ]
+    )
+    run = _encode_rows(_unit_rows(raw), codebook, "memoryless", reseed="memoryless")
+    shape = (config.trials, config.users, config.window, config.n_t)
+    # (trials, window, users, n), contiguous as the per-trial stacks were.
+    true_steps = raw[:, config.discard :].reshape(shape).swapaxes(1, 2).copy()
+    quantized = run.estimates[:, config.discard - 2 :].reshape(shape).swapaxes(1, 2).copy()
+    return np.array(
+        [_window_mean_rates(t, q, powers, config.users) for t, q in zip(true_steps, quantized)]
+    )
 
 
 def run_sumrate_experiment(
@@ -344,14 +350,11 @@ def run_sumrate_experiment(
         fdts_values = config.fdts_grid if scheme == "gpc" else (0.0,)
         bits = 0 if scheme == "perfect_csi" else config.bits
         for fdts in fdts_values:
-            per_trial = np.empty((config.trials, len(powers)))
-            for trial in range(config.trials):
-                if scheme == "perfect_csi":
-                    per_trial[trial] = _perfect_csi_trial(config, trial, powers)
-                elif scheme == "memoryless_random":
-                    per_trial[trial] = _memoryless_trial(config, trial, powers)
-                else:
-                    per_trial[trial] = _gpc_trial(config, trial, fdts, codebook, powers)
+            if scheme == "gpc":
+                per_trial = _gpc_rates(config, fdts, codebook, powers)
+            else:
+                trial_rates = _perfect_csi_trial if scheme == "perfect_csi" else _memoryless_trial
+                per_trial = np.array([trial_rates(config, t, powers) for t in range(config.trials)])
             mean = per_trial.mean(axis=0)
             stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(config.trials)
             for i, snr_db in enumerate(config.snr_db_grid):

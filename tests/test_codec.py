@@ -1,13 +1,18 @@
 """Unit tests for the predictive encoder/decoder: quantization, state
 management, symmetry, initialization, and index-stream serialization."""
 
-import dataclasses
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from grasspc import (
     PROJECTION_COLLAPSE_TOL,
+    RHO_MIN,
     ZERO_TANGENT_TOL,
     Ar1Params,
     Ar2Params,
@@ -17,7 +22,6 @@ from grasspc import (
     GpcState,
     GrassmannPoint,
     ShapeGainCodebook,
-    TangentVector,
     TrackingLostError,
     best_packing,
     chordal_distance,
@@ -39,7 +43,9 @@ from grasspc import (
     uniform_magnitude,
     write_index_stream,
 )
-from grasspc.codec import _direction_only
+from grasspc import codec
+from grasspc.codec import _along, _Book, _pick_free
+from grasspc.geometry import _chord_cols, _cols, _inner, _row
 
 
 def small_codebook(n=4, n_d=8, n_m=4, hi=0.6, seed=0):
@@ -186,14 +192,14 @@ def test_direction_only_quantizer_dominates_joint_search():
         predicted, observed = random_point(4, rng), random_point(4, rng)
         if abs(np.vdot(predicted.coords, observed.coords)) < 0.05:
             continue
-        p, o = predicted.coords, observed.coords
-        chord = chordal_distance(predicted, observed)
-        free_tangent = TangentVector(
-            predicted, *_direction_only(p, o, np.vdot(p, o), chord, cb.directions.entries)
-        )
+        p, o = _cols(predicted.coords), _cols(observed.coords)
+        rho = _inner(*p, *o)
+        book = _Book(cb)
+        step = _pick_free(book, p, o, rho, _chord_cols(*p, *o, rho))
+        free_estimate = GrassmannPoint(_row(*_along(book, p, *step)))
         joint_idx = quantize_tangent(predicted, observed, cb)
         joint_tangent = reconstruct_codeword(joint_idx, predicted, cb)
-        free_d = chordal_distance(exp_map(predicted, free_tangent), observed)
+        free_d = chordal_distance(free_estimate, observed)
         joint_d = chordal_distance(exp_map(predicted, joint_tangent), observed)
         assert free_d <= joint_d + 1e-12
     trace = gen_ar1(Ar1Params(n=4, beta=0.01, steps=100, seed=6))
@@ -467,147 +473,221 @@ def test_codec_outputs_pass_the_constructor_checks(mode):
 
 
 # ---------------------------------------------------------------------------
-# reference: the per-step object codec that the array loop replaced
+# reference: one codec session in plain Python floats
 #
-# Kept verbatim in spirit (same float operations, one object per value) so
-# the array loop can be checked byte for byte against it.  The closed loop
-# is chaotic: a one-ulp difference anywhere decorrelates a session within
-# about a thousand steps, so any reordering of the arithmetic shows here.
+# Written from the formulas, with a complex number as a (re, im) pair of
+# floats and a point as a list of such pairs.  Every sum over coordinates
+# runs left to right and every operation is one IEEE 754 + - * / or sqrt, so
+# the kernel must match it byte for byte, alone or in a batch.  The closed
+# loop is chaotic: a one-ulp difference anywhere decorrelates a session
+# within about a thousand steps, so any reordering of the arithmetic shows.
 
 
-def ref_projected_directions(entries, base):
-    inners = entries @ base.conj()
-    w = entries - np.outer(inners, base)
-    norms = np.linalg.norm(w, axis=1)
-    keep = norms > PROJECTION_COLLAPSE_TOL
-    out = np.zeros_like(w)
-    out[keep] = w[keep] / norms[keep, None]
+def cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def csub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def conj(x):
+    return (x[0], -x[1])
+
+
+def total(values):
+    out = values[0] + values[1]
+    for value in values[2:]:
+        out = out + value
     return out
 
 
-def ref_quantize_tangent(predicted, observed, codebook):
-    base = predicted.coords
-    if chordal_distance(predicted, observed) < ZERO_TANGENT_TOL:
-        return CodewordIndex(0, 0)
-    b = np.vdot(base, observed.coords)
-    s = ref_projected_directions(codebook.directions.entries, base).conj() @ observed.coords
-    m = codebook.magnitudes.entries
-    inner = np.cos(m)[None, :] * b + np.sin(m)[None, :] * s[:, None]
-    return CodewordIndex(*divmod(int(np.argmax(np.abs(inner) ** 2)), m.size))
+def dot(x, y):
+    """x^H y."""
+    terms = [cmul(conj(a), b) for a, b in zip(x, y)]
+    return (total([t[0] for t in terms]), total([t[1] for t in terms]))
 
 
-def ref_reconstruct_codeword(index, predicted, codebook):
-    magnitude = float(codebook.magnitudes.entries[index.magnitude_index])
-    if magnitude == 0.0:
-        return TangentVector.zero(predicted)
-    c = codebook.directions.entries[index.direction_index]
-    base = predicted.coords
-    w = c - np.vdot(base, c) * base
-    wn = np.linalg.norm(w)
-    if wn < PROJECTION_COLLAPSE_TOL:
-        return TangentVector.zero(predicted)
-    return TangentVector(predicted, magnitude, w / wn)
+def norm2(v):
+    return total([a[0] * a[0] + a[1] * a[1] for a in v])
 
 
-def ref_direction_only_quantizer(predicted, observed, codebook, error):
-    if error.is_zero:
-        return TangentVector.zero(predicted), None
-    base = predicted.coords
-    b = np.vdot(base, observed.coords)
-    proj = ref_projected_directions(codebook.directions.entries, base)
-    s = proj.conj() @ observed.coords
-    bb = abs(b) ** 2
-    ss = np.abs(s) ** 2
-    cross = (np.conj(b) * s).real
-    m_best = np.where(
-        cross >= 0.0,
-        0.5 * np.arctan2(2.0 * cross, bb - ss),
-        np.where(bb >= ss, 0.0, np.pi / 2),
-    )
-    score = np.where(
-        cross >= 0.0,
-        0.5 * (bb + ss) + np.hypot(0.5 * (bb - ss), cross),
-        np.maximum(bb, ss),
-    )
-    d_idx = int(np.argmax(score))
-    magnitude = float(min(m_best[d_idx], np.pi / 2))
-    if magnitude <= ZERO_TANGENT_TOL or np.linalg.norm(proj[d_idx]) == 0.0:
-        return TangentVector.zero(predicted), None
-    return TangentVector(predicted, magnitude, proj[d_idx]), None
+def modulus(z):
+    return math.sqrt(z[0] * z[0] + z[1] * z[1])
+
+
+def unit(v):
+    nrm = math.sqrt(norm2(v))
+    return [(a[0] / nrm, a[1] / nrm) for a in v]
+
+
+def pairs_of(row):
+    return [(float(z.real), float(z.imag)) for z in row]
+
+
+def row_of(point):
+    return np.array([complex(*z) for z in point])
+
+
+def ref_predict(prev, curr):
+    """(|rho| + rho^*) curr - prev, normalized, with rho = prev^H curr."""
+    rho = dot(prev, curr)
+    a = modulus(rho)
+    if a <= RHO_MIN:
+        raise CutLocusError(a)
+    coef = (a + rho[0], -rho[1])
+    return unit([csub(cmul(coef, c), p) for p, c in zip(prev, curr)])
+
+
+def ref_chord(x, y):
+    """sqrt(1 - |rho|^2), or |rho| ||y/rho - x|| for nearly coincident lines."""
+    rho = dot(x, y)
+    aa = rho[0] * rho[0] + rho[1] * rho[1]
+    v = 1.0 - min(aa, 1.0)
+    if v > 1e-8 or aa == 0.0:
+        return math.sqrt(v)
+    w = []
+    for a, b in zip(x, y):
+        q = cmul(b, conj(rho))  # y / rho = y rho^* / |rho|^2
+        w.append(csub((q[0] / aa, q[1] / aa), a))
+    return math.sqrt(aa) * math.sqrt(norm2(w))
+
+
+def ref_direction(base, c):
+    """c - (base^H c) base and its norm."""
+    u = dot(base, c)
+    w = [csub(ck, cmul(u, bk)) for ck, bk in zip(c, base)]
+    return w, math.sqrt(norm2(w))
+
+
+def ref_step(base, c, cos, sin):
+    """The geodesic from ``base`` along c's projected direction, for the arc
+    of cosine ``cos`` and sine ``sin``."""
+    w, wn = ref_direction(base, c)
+    if sin == 0.0 or wn < PROJECTION_COLLAPSE_TOL:
+        return base
+    return unit([(b[0] * cos + a[0] / wn * sin, b[1] * cos + a[1] / wn * sin) for b, a in zip(base, w)])
+
+
+def ref_projection(c, p, o, rho):
+    """(h - g rho) / sqrt(||c||^2 - |g|^2) with g = c^H p and h = c^H o."""
+    g, h = dot(c, p), dot(c, o)
+    den = norm2(c) - (g[0] * g[0] + g[1] * g[1])
+    if den <= PROJECTION_COLLAPSE_TOL**2:
+        return (0.0, 0.0)
+    num, root = csub(h, cmul(g, rho)), math.sqrt(den)
+    return (num[0] / root, num[1] / root)
+
+
+def ref_quantize(p, o, codebook):
+    """First maximum of |cos(m) rho + sin(m) s_d|^2 in serialized order."""
+    if ref_chord(p, o) < ZERO_TANGENT_TOL:
+        return (0, 0)
+    rho = dot(p, o)
+    best, best_score = None, -1.0
+    for d, entry in enumerate(codebook.directions.entries):
+        s = ref_projection(pairs_of(entry), p, o, rho)
+        for m, level in enumerate(codebook.magnitudes.entries):
+            cos, sin = math.cos(level), math.sin(level)
+            z = (cos * rho[0] + sin * s[0], cos * rho[1] + sin * s[1])
+            score = z[0] * z[0] + z[1] * z[1]
+            if score > best_score:
+                best, best_score = (d, m), score
+    return best
+
+
+def ref_free(p, o, codebook):
+    """The best direction with its continuously optimal magnitude m, as
+    (d, cos m, sin m).  |cos(m) rho + sin(m) s|^2 = (bb + ss)/2 +
+    half cos 2m + cross sin 2m peaks at (cos 2m, sin 2m) = (half, cross) / r
+    when cross >= 0, else at m = 0 or pi/2; half-angle formulas give m's
+    cosine and sine."""
+    if ref_chord(p, o) < ZERO_TANGENT_TOL:
+        return 0, 1.0, 0.0
+    rho = dot(p, o)
+    bb = rho[0] * rho[0] + rho[1] * rho[1]
+    best, best_score = None, None
+    for d, entry in enumerate(codebook.directions.entries):
+        s = ref_projection(pairs_of(entry), p, o, rho)
+        ss = s[0] * s[0] + s[1] * s[1]
+        cross = rho[0] * s[0] + rho[1] * s[1]
+        half = 0.5 * (bb - ss)
+        r = math.sqrt(half * half + cross * cross)
+        if cross < 0.0:
+            score, arc = max(bb, ss), ((1.0, 0.0) if bb >= ss else (0.0, 1.0))
+        elif r == 0.0:
+            score, arc = 0.5 * (bb + ss) + r, (1.0, 0.0)
+        else:
+            score, c2, s2 = 0.5 * (bb + ss) + r, half / r, cross / r
+            if c2 >= 0.0:
+                cos = math.sqrt(0.5 * (1.0 + c2))
+                arc = (cos, s2 / (2.0 * cos))
+            else:
+                sin = math.sqrt(0.5 * (1.0 - c2))
+                arc = (s2 / (2.0 * sin), sin)
+        if best_score is None or score > best_score:
+            best, best_score = (d, *(arc if arc[1] > ZERO_TANGENT_TOL else (1.0, 0.0))), score
+    return best
 
 
 def ref_initialize(x0, x1, codebook, mode):
+    """(previous, current, predicted) from two observed rows."""
     if mode == "exact":
-        return GpcState(x0, x1, predict_one_step(x0, x1), 2)
-    _, q0 = memoryless_quantize(x0, codebook.directions)
-    scores = np.abs(codebook.directions.entries.conj() @ x1.coords) ** 2
+        q0, q1 = pairs_of(x0), pairs_of(x1)
+        return q0, q1, ref_predict(q0, q1)
+    entries = codebook.directions.entries
+    q0 = unit(pairs_of(entries[memoryless_quantize(GrassmannPoint(x0), codebook.directions)[0]]))
+    scores = np.abs(entries.conj() @ x1) ** 2
     for i1 in np.argsort(-scores, kind="stable"):
-        q1 = GrassmannPoint.from_vector(codebook.directions.entries[i1])
+        q1 = unit(pairs_of(entries[i1]))
         try:
-            return GpcState(q0, q1, predict_one_step(q0, q1), 2)
+            return q0, q1, ref_predict(q0, q1)
         except CutLocusError:
             pass
     raise CutLocusError(0.0, "no codeword for the second point can seed the predictor")
 
 
-def ref_advance(state, estimate):
-    try:
-        predicted = predict_one_step(state.est_curr, estimate)
-    except CutLocusError as exc:
-        raise TrackingLostError(exc.rho_abs, state.time) from exc
-    return GpcState(state.est_curr, estimate, predicted, state.time + 1)
-
-
-def ref_encode_step(state, observed, codebook, quantizer=None):
-    try:
-        error = log_map(state.predicted, observed)
-    except CutLocusError as exc:
-        raise TrackingLostError(exc.rho_abs, state.time) from exc
-    if quantizer is None:
-        index = ref_quantize_tangent(state.predicted, observed, codebook)
-        tangent = ref_reconstruct_codeword(index, state.predicted, codebook)
-    else:
-        tangent, index = quantizer(state.predicted, observed, codebook, error)
-    estimate = exp_map(state.predicted, tangent)
-    return index, ref_advance(state, estimate), estimate
-
-
-def ref_decode_step(state, index, codebook):
-    tangent = ref_reconstruct_codeword(index, state.predicted, codebook)
-    estimate = exp_map(state.predicted, tangent)
-    return estimate, ref_advance(state, estimate)
-
-
-def ref_encode_trace(points, codebook, mode, quantizer):
-    """The object-path encode_trace loop with on_track_loss="reinit"."""
-    state = ref_initialize(points[0], points[1], codebook, mode)
-    indices, estimates, pred_err, est_err, reinits = [], [], [], [], 0
-    for j, observed in enumerate(points[2:]):
-        pred_err.append(chordal_distance(state.predicted, observed))
+def ref_encode(rows, codebook, mode, free_magnitude):
+    """One encoder session with re-seeding on track loss."""
+    prev, curr, predicted = ref_initialize(rows[0], rows[1], codebook, mode)
+    out = dict(indices=[], estimates=[], predictions=[], pred_err=[], est_err=[], reinits=0)
+    entries, levels = codebook.directions.entries, codebook.magnitudes.entries
+    for j in range(2, len(rows)):
+        obs = pairs_of(rows[j])
+        out["predictions"].append(predicted)
+        out["pred_err"].append(ref_chord(predicted, obs))
         try:
-            index, state, estimate = ref_encode_step(state, observed, codebook, quantizer)
-        except TrackingLostError:
-            reinits += 1
-            state = ref_initialize(points[j + 1], observed, codebook, mode)
-            state = dataclasses.replace(state, time=j + 3)
-            index, estimate = None, state.est_curr
-        indices.append(index)
-        estimates.append(estimate)
-        est_err.append(chordal_distance(estimate, observed))
-    return tuple(indices), estimates, np.array(pred_err), np.array(est_err), state, reinits
-
-
-def ref_harvest_closed_loop(points, codebook):
-    state = ref_initialize(points[0], points[1], codebook, "exact")
-    tangents, skipped = [], 0
-    for k in range(2, len(points)):
-        try:
-            tangents.append(log_map(state.predicted, points[k]))
-            _, state, _ = ref_encode_step(state, points[k], codebook)
+            if modulus(dot(predicted, obs)) <= RHO_MIN:
+                raise CutLocusError(0.0)
+            if free_magnitude:
+                index, (d, cos, sin) = None, ref_free(predicted, obs, codebook)
+            else:
+                index = ref_quantize(predicted, obs, codebook)
+                level = float(levels[index[1]])
+                d, cos, sin = index[0], math.cos(level), math.sin(level)
+            estimate = ref_step(predicted, pairs_of(entries[d]), cos, sin)
+            prev, curr, predicted = curr, estimate, ref_predict(curr, estimate)
         except CutLocusError:
-            skipped += 1
-            state = ref_initialize(points[k - 1], points[k], codebook, "exact")
-    return tangents, skipped
+            out["reinits"] += 1
+            prev, curr, predicted = ref_initialize(rows[j - 1], rows[j], codebook, mode)
+            index, estimate = None, curr
+        out["indices"].append(None if index is None else CodewordIndex(*index))
+        out["estimates"].append(estimate)
+        out["est_err"].append(ref_chord(estimate, obs))
+    out["state"] = (prev, curr, predicted)
+    return out
+
+
+def ref_decode(rows, indices, codebook, mode):
+    prev, curr, predicted = ref_initialize(rows[0], rows[1], codebook, mode)
+    estimates = []
+    for index in indices:
+        level = float(codebook.magnitudes.entries[index.magnitude_index])
+        c = pairs_of(codebook.directions.entries[index.direction_index])
+        estimate = ref_step(predicted, c, math.cos(level), math.sin(level))
+        prev, curr, predicted = curr, estimate, ref_predict(curr, estimate)
+        estimates.append(estimate)
+    return estimates, (prev, curr, predicted)
 
 
 def same_rows(xs, ys):
@@ -618,44 +698,43 @@ def same_rows(xs, ys):
     )
 
 
-def same_state(a, b):
-    return a.time == b.time and same_rows(
-        (a.est_prev.coords, a.est_curr.coords, a.predicted.coords),
-        (b.est_prev.coords, b.est_curr.coords, b.predicted.coords),
-    )
+def same_state(state, points):
+    rows = (state.est_prev.coords, state.est_curr.coords, state.predicted.coords)
+    return same_rows(rows, [row_of(p) for p in points])
 
 
 def check_against_reference(points, codebook, mode, free_magnitude):
-    points = list(points)
-    quantizer = ref_direction_only_quantizer if free_magnitude else None
-    indices, estimates, pred_err, est_err, state, reinits = ref_encode_trace(
-        points, codebook, mode, quantizer
-    )
+    rows = [p.coords for p in points]
+    ref = ref_encode(rows, codebook, mode, free_magnitude)
     res = encode_trace(points, codebook, mode, free_magnitude, on_track_loss="reinit")
-    assert res.indices == indices
-    assert same_rows([e.coords for e in res.estimates], [e.coords for e in estimates])
-    assert same_rows([res.prediction_errors], [pred_err])
-    assert same_rows([res.estimate_errors], [est_err])
-    assert same_state(res.state, state)
-    assert res.reinits == reinits
-    if free_magnitude or reinits:
+    assert res.indices == tuple(ref["indices"])
+    assert same_rows([e.coords for e in res.estimates], [row_of(e) for e in ref["estimates"]])
+    assert same_rows([res.prediction_errors], [np.array(ref["pred_err"])])
+    assert same_rows([res.estimate_errors], [np.array(ref["est_err"])])
+    assert same_state(res.state, ref["state"])
+    assert res.state.time == len(rows)
+    assert res.reinits == ref["reinits"]
+    if free_magnitude or ref["reinits"]:
         return res
     start = initialize(points[0], points[1], codebook, mode)
     decoded, final = decode_trace(start, res.indices, codebook)
-    ref_state, ref_decoded = ref_initialize(points[0], points[1], codebook, mode), []
-    for index in indices:
-        estimate, ref_state = ref_decode_step(ref_state, index, codebook)
-        ref_decoded.append(estimate)
-    assert same_rows([e.coords for e in decoded], [e.coords for e in ref_decoded])
-    assert same_state(final, ref_state)
+    ref_decoded, ref_final = ref_decode(rows, ref["indices"], codebook, mode)
+    assert same_rows([e.coords for e in decoded], [row_of(e) for e in ref_decoded])
+    assert same_state(final, ref_final)
     return res
 
 
 def check_harvest_against_reference(points, codebook):
-    points = list(points)
-    tangents, skipped = ref_harvest_closed_loop(points, codebook)
+    rows = [p.coords for p in points]
+    ref = ref_encode(rows, codebook, "exact", False)
+    tangents = []
+    for predicted, target in zip(ref["predictions"], points[2:]):
+        try:
+            tangents.append(log_map(GrassmannPoint(row_of(predicted)), target))
+        except CutLocusError:
+            pass
     ts = harvest_closed_loop(points, codebook)
-    assert ts.skipped == skipped
+    assert ts.skipped == ref["reinits"]
     assert same_rows([ts.magnitudes], [np.array([t.magnitude for t in tangents])])
     assert same_rows(ts.directions, [t.direction for t in tangents])
 
@@ -710,3 +789,130 @@ def test_array_loop_matches_reference_on_repeated_point(mode, free_magnitude):
         assert res.indices[0] == CodewordIndex(0, 0)
         assert res.estimate_errors[0] > 0.0
         check_harvest_against_reference([x, x, x] + list(trace.points), cb)
+
+
+# ---------------------------------------------------------------------------
+# sessions in a batch
+
+
+def batch_traces():
+    """24 unit-row traces (12 slow, 12 fast); the prediction at step 100 of
+    trace 5 is made orthogonal to its observation, forcing a track loss."""
+    cb = ShapeGainCodebook(best_packing(4, 64), uniform_magnitude(8))
+    traces = [
+        gen_ar1(Ar1Params(n=4, beta=beta, steps=300, seed=100 + k)).normalized
+        for beta in (0.001, 0.04)
+        for k in range(12)
+    ]
+    points = [GrassmannPoint(r) for r in traces[5]]
+    alone = encode_trace(points, cb, "memoryless", on_track_loss="reinit")
+    p = predict_one_step(alone.estimates[96], alone.estimates[97]).coords
+    v = traces[5][100] - np.vdot(p, traces[5][100]) * p
+    traces[5][100] = v / np.linalg.norm(v)
+    return cb, np.array(traces)
+
+
+@pytest.mark.parametrize("chunk", [24, 5])
+def test_batched_sessions_match_sessions_alone(monkeypatch, chunk):
+    monkeypatch.setattr(codec, "_CHUNK", chunk)
+    cb, traces = batch_traces()
+    batch = codec._encode_rows(traces, cb, "memoryless", reseed="memoryless")
+    assert batch.reinits[5] >= 1 and sum(batch.reinits) == batch.reinits[5]
+    for b, rows in enumerate(traces):
+        points = [GrassmannPoint(r) for r in rows]
+        alone = encode_trace(points, cb, "memoryless", on_track_loss="reinit")
+        pairs = [None if d < 0 else CodewordIndex(d, m) for d, m in batch.pairs[b].tolist()]
+        assert tuple(pairs) == alone.indices
+        assert same_rows(batch.estimates[b], [e.coords for e in alone.estimates])
+        assert batch.pred_err[b].tobytes() == alone.prediction_errors.tobytes()
+        assert batch.est_err[b].tobytes() == alone.estimate_errors.tobytes()
+        assert same_rows(batch.state[b], state_points_rows(alone.state))
+        assert batch.reinits[b] == alone.reinits
+        if not alone.reinits:
+            start = initialize(points[0], points[1], cb, "memoryless")
+            decoded, _ = decode_trace(start, alone.indices, cb)
+            assert same_rows(batch.estimates[b], [e.coords for e in decoded])
+
+
+def state_points_rows(state):
+    return [p.coords for p in state_points(state)]
+
+
+# ---------------------------------------------------------------------------
+# replay under other BLAS and SIMD kernels
+
+REPLAY = """
+import sys
+import numpy as np
+from grasspc import (
+    CodewordIndex, DirectionCodebook, GpcState, GrassmannPoint, MagnitudeCodebook,
+    ShapeGainCodebook, decode_trace,
+)
+data = np.load(sys.argv[1])
+cb = ShapeGainCodebook(DirectionCodebook(data["directions"]), MagnitudeCodebook(data["magnitudes"]))
+state = GpcState(*(GrassmannPoint(r) for r in data["state"]), 2)
+decoded, _ = decode_trace(state, [CodewordIndex(int(d), int(m)) for d, m in data["pairs"]], cb)
+np.save(sys.argv[2], np.array([p.coords for p in decoded]))
+"""
+
+
+def numpy_blas() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except Exception:  # older numpy, or a build without the record
+        return ""
+
+
+def numpy_dispatch() -> str:
+    """The SIMD features numpy dispatches to at run time, space-separated."""
+    umath = getattr(getattr(np, "_core", None), "_multiarray_umath", None)
+    return " ".join(getattr(umath, "__cpu_dispatch__", ()))
+
+
+@pytest.mark.parametrize(
+    "variable, value",
+    [
+        ("OPENBLAS_CORETYPE", "Haswell"),
+        ("OPENBLAS_CORETYPE", "Prescott"),
+        ("NPY_DISABLE_CPU_FEATURES", "all"),
+    ],
+    ids=["blas-Haswell", "blas-Prescott", "numpy-baseline-simd"],
+)
+def test_decoder_replays_under_other_kernels(tmp_path, variable, value):
+    # The codec loop makes no BLAS call and no complex ufunc multiply, so a
+    # decoder whose dot products run on another OpenBLAS kernel, or whose
+    # numpy runs without its dispatched SIMD loops, must still replay the
+    # stream bit for bit.  (Seed indices may still use BLAS; the state is
+    # sent as is.)
+    if variable == "OPENBLAS_CORETYPE" and "openblas" not in numpy_blas().lower():
+        pytest.skip(
+            "OPENBLAS_CORETYPE picks a BLAS kernel only in OpenBLAS; this numpy uses "
+            f"{numpy_blas() or 'an unknown BLAS'}, so the case would prove nothing"
+        )
+    if value == "all":
+        value = numpy_dispatch()
+        if not value:
+            pytest.skip("this numpy reports no dispatched SIMD features to disable")
+    cb = ShapeGainCodebook(best_packing(4, 64), uniform_magnitude(8))
+    points = gen_ar1(Ar1Params(n=4, beta=0.01, steps=2500, seed=31)).points
+    encoded = encode_trace(points, cb, mode="memoryless")
+    state = initialize(points[0], points[1], cb, mode="memoryless")
+    np.savez(
+        tmp_path / "stream.npz",
+        directions=cb.directions.entries,
+        magnitudes=cb.magnitudes.entries,
+        state=np.array([p.coords for p in state_points(state)]),
+        pairs=np.array([(i.direction_index, i.magnitude_index) for i in encoded.indices]),
+    )
+    src = str(Path(codec.__file__).resolve().parents[1])
+    env = dict(os.environ, **{variable: value})
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = tmp_path / "decoded.npy"
+    result = subprocess.run(
+        [sys.executable, "-c", REPLAY, str(tmp_path / "stream.npz"), str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    decoded = np.load(out)
+    assert len(decoded) == len(encoded.estimates) == 2498
+    assert decoded.tobytes() == np.array([e.coords for e in encoded.estimates]).tobytes()
