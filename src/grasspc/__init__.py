@@ -42,6 +42,7 @@ from .channel import (
 )
 from .codebooks import (
     FILE_NORM_TOL,
+    SAME_LINE_CHORD,
     DirectionCodebook,
     MagnitudeCodebook,
     ShapeGainCodebook,

@@ -32,6 +32,8 @@ traces themselves (their Philox normals across numpy versions, and numpy's
 norms in their normalization); and the BLAS dot products of the public
 ``chordal_distance``, ``log_map`` and ``parallel_transport``, which the
 training harvests use for their tangents but the update never calls.
+The float32 screen of ``best_packing`` only drops candidates whose exact
+score is certain to lose, so its near-tie clause above is unchanged.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ from grasspc import (
     Ar1Params,
     Ar2Params,
     CutLocusError,
+    FILE_NORM_TOL,
+    SAME_LINE_CHORD,
     DirectionCodebook,
     GrassmannPoint,
     MagnitudeCodebook,
@@ -30,7 +32,7 @@ from grasspc import (
     save_codebook,
     uniform_magnitude,
 )
-from grasspc.codebooks import canonical_phase
+from grasspc.codebooks import _SCREEN_MARGIN, _projector_features, _screen, canonical_phase
 
 
 def unit_rows(n_rows, n, rng):
@@ -59,6 +61,39 @@ def test_direction_codebook_rejects_duplicate_lines():
     e2 = np.eye(2, dtype=np.complex128)[1]
     with pytest.raises(ValueError, match="same line"):
         DirectionCodebook(np.stack([e1, e2, e1 * np.exp(0.4j), -e2]))
+
+
+def test_direction_codebook_rejects_phase_rotated_random_lines():
+    # Random rows are not exact in floating point the way basis vectors
+    # are: |<a, a e^{i theta}>|^2 lands on either side of 1.
+    rng = rng_stream(7)
+    for _ in range(300):
+        rows = unit_rows(4, 4, rng)
+        rows[2] = rows[0] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        with pytest.raises(ValueError, match="codewords 0 and 2 span the same line"):
+            DirectionCodebook(rows)
+    # Short of unit norm by almost FILE_NORM_TOL, a copy still spans the
+    # same line, though its unscaled |<a, b>|^2 is 1 - 1.8e-9.
+    rows = unit_rows(4, 4, rng)
+    rows[3] = rows[1] * (1.0 - 0.9 * FILE_NORM_TOL) * 1j
+    with pytest.raises(ValueError, match="same line"):
+        DirectionCodebook(rows)
+
+
+def test_direction_codebook_same_line_tolerance():
+    # A row a tenth of SAME_LINE_CHORD from row 0 spans its line; ten times
+    # that far, it is a codeword of its own.
+    rows = unit_rows(4, 4, rng_stream(8))
+    step = rows[1] - np.vdot(rows[0], rows[1]) * rows[0]
+    step /= np.linalg.norm(step)
+    for chord in (SAME_LINE_CHORD / 10, SAME_LINE_CHORD * 10):
+        trial = rows.copy()
+        trial[1] = np.sqrt(1.0 - chord**2) * rows[0] + chord * step
+        if chord < SAME_LINE_CHORD:
+            with pytest.raises(ValueError, match=r"codewords 0 and 1 span the same line"):
+                DirectionCodebook(trial)
+        else:
+            assert DirectionCodebook(trial).min_chordal_distance() == pytest.approx(chord, rel=1e-3)
 
 
 def test_direction_codebook_metrics():
@@ -358,6 +393,11 @@ def full_gram_packing(n, size, seed, draws):
         (3, 16, 1, 2000),
         (4, 64, 0, 10_000),
         (4, 512, 0, 100),  # 100 is not a multiple of the 16-candidate chunk
+        # Element counts that are no multiple of a SIMD width; after the
+        # first chunk, the screen drops nearly every candidate.
+        (3, 2, 0, 300),
+        (5, 8, 0, 3000),
+        (4, 128, 0, 2000),
     ],
 )
 def test_best_packing_matches_full_gram_search(n, size, seed, draws):
@@ -366,6 +406,74 @@ def test_best_packing_matches_full_gram_search(n, size, seed, draws):
     assert got.entries.tobytes() == ref.tobytes()
     assert got.min_chordal_distance() == DirectionCodebook(ref).min_chordal_distance()
     assert got.min_chordal_distance() == pytest.approx(np.sqrt(1.0 - score), rel=1e-12)
+
+
+def early_abandon_packing(n, size, seed, draws):
+    """Reference search: the exact early-abandon scoring alone, with no
+    screen ahead of it; at this scale it is much faster than scoring every
+    full Gram matrix."""
+    rng = rng_stream(seed, 0xBE5)
+    chunk = max(1, min(256, (1 << 22) // (size * size)))
+    best_score = np.inf
+    best = None
+    done = 0
+    while done < draws:
+        b = min(chunk, draws - done)
+        cand = rng.standard_normal((b, size, n)) + 1j * rng.standard_normal((b, size, n))
+        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+        done += b
+        rows, cols = cand, np.conj(np.swapaxes(cand, 1, 2))
+        running = np.zeros(b)
+        for r0 in range(0, size, 16):
+            block = np.abs(rows[:, r0 : r0 + 16] @ cols) ** 2
+            diag = np.arange(block.shape[1])
+            block[:, diag, r0 + diag] = 0.0
+            running = np.maximum(running, block.reshape(running.size, -1).max(axis=1))
+            keep = running < best_score
+            if not keep.all():
+                rows, cols, running = rows[keep], cols[keep], running[keep]
+                if running.size == 0:
+                    break
+        if running.size:
+            k = int(running.argmin())
+            best_score = float(running[k])
+            best = rows[k].copy()
+    return best
+
+
+def test_best_packing_matches_unscreened_search_at_published_scale():
+    got = best_packing(4, 512, seed=0, draws=10_000)
+    assert got.entries.tobytes() == early_abandon_packing(4, 512, 0, 10_000).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_packing_screen_within_a_hundredth_of_its_margin(n):
+    # Raw rows over six decades of scale, with exact duplicates (up to a
+    # complex factor) and pairs at chordal distance about 1e-7.
+    rng = rng_stream(20 + n)
+    re = rng.standard_normal((6, 64, n))
+    im = rng.standard_normal((6, 64, n))
+    re[:, 1], im[:, 1] = -3.0 * im[:, 0], 3.0 * re[:, 0]
+    re[:, 3], im[:, 3] = re[:, 2] + 1e-7 * rng.standard_normal((6, n)), im[:, 2]
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (6, 64, 1))
+    re, im = re * scale, im * scale
+    feat = _projector_features(re, im)
+    screened = (feat @ np.swapaxes(feat, 1, 2)).astype(np.float64)
+    rows = re + 1j * im
+    rows /= np.linalg.norm(rows, axis=2, keepdims=True)
+    exact = np.abs(rows @ np.conj(np.swapaxes(rows, 1, 2))) ** 2
+    assert np.sqrt(np.maximum(0.0, 1.0 - exact[:, 2, 3])).max() < 1e-6
+    assert np.abs(screened - exact).max() < n * n * _SCREEN_MARGIN / 100
+
+
+def test_packing_screen_keeps_a_candidate_with_a_nan_row():
+    rng = rng_stream(30)
+    re = rng.standard_normal((5, 16, 4))
+    im = rng.standard_normal((5, 16, 4))
+    re[3, 7, 2] = np.nan
+    # Every finite entry reaches the limit, so only the NaN candidate stays.
+    assert _screen(re, im, -1.0).tolist() == [3]
+    assert _screen(re, im, np.inf).tolist() == [0, 1, 2, 3, 4]
 
 
 def test_shape_gain_storage_expands_to_distinct_tangencies():
