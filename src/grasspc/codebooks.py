@@ -12,6 +12,8 @@ iterations separately on the direction rows and the magnitudes.
 from __future__ import annotations
 
 import math
+import operator
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -51,6 +53,16 @@ _MONOTONE_SLACK = 1e-12
 
 def _is_pow2(k: int) -> bool:
     return k >= 1 and (k & (k - 1)) == 0
+
+
+def _count(name: str, value) -> int:
+    """An integer argument (a count, size or seed) as an int: Python and
+    numpy integers pass, anything else (a float such as 4.0 included) is a
+    ValueError naming ``name``, rather than being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -383,6 +395,9 @@ def lloyd_magnitude(
 
 def uniform_magnitude(n_m: int, lo: float = 0.0, hi: float = 1.0) -> MagnitudeCodebook:
     """Midpoints of ``n_m`` equal bins on [lo, hi]."""
+    n_m = _count("n_m", n_m)
+    if not _is_pow2(n_m):
+        raise ValueError(f"n_m must be a power of two, got {n_m}")
     if not 0.0 <= lo < hi <= np.pi / 2 + 1e-12:
         raise ValueError(f"need 0 <= lo < hi <= pi/2, got [{lo}, {hi}]")
     step = (hi - lo) / n_m
@@ -465,8 +480,27 @@ def _screen(re, im, limit: float) -> np.ndarray:
     return index
 
 
+def _packing_file(n: int, size: int, seed: int, draws: int) -> str:
+    """Where the shipped packing for this key would be; most keys have none."""
+    return os.path.join(os.path.dirname(__file__), "packings", f"{n}-{size}-{seed}-{draws}.npy")
+
+
 @lru_cache(maxsize=32)
 def _best_packing_cached(n: int, size: int, seed: int, draws: int) -> np.ndarray:
+    """The key's shipped packing if it has one, else the search's."""
+    path = _packing_file(n, size, seed, draws)
+    if not os.path.exists(path):
+        return _search_packing(n, size, seed, draws)
+    table = np.load(path, allow_pickle=False)
+    if table.dtype != np.complex128 or table.shape != (size, n):
+        raise ValueError(
+            f"{path}: shipped packing is {table.dtype} {table.shape}, "
+            f"wanted complex128 {(size, n)}"
+        )
+    return table
+
+
+def _search_packing(n: int, size: int, seed: int, draws: int) -> np.ndarray:
     rng = rng_stream(seed, 0xBE5)
     # The chunk size fixes how draws are split between generator calls, and
     # so which candidates are drawn: changing it changes every codebook.
@@ -522,14 +556,21 @@ def best_packing(n: int, size: int, seed: int = 0, draws: int = 10_000) -> Direc
     too, and the result, byte for byte, is the one a full scoring of every
     candidate would pick.  Deterministic in (n, size, seed, draws); results
     are cached in-process.
+
+    The keys the configs build, (4, 64), (4, 512) and (3, 16) at seed 0 and
+    10,000 draws, load shipped constants instead (``packings/*.npy`` in the
+    package), which are this search's bytes and are tested against it;
+    every other key runs the search.
     """
+    n, size = _count("n", n), _count("size", size)
+    seed, draws = _count("seed", seed), _count("draws", draws)
     if size < 2:
         raise ValueError("a packing needs at least two codewords")
     if n < 2:
         raise ValueError(f"a packing needs ambient dimension n >= 2, got n = {n}")
     if draws < 1:
         raise ValueError(f"a packing needs draws >= 1 candidate codebooks, got draws = {draws}")
-    return DirectionCodebook(_best_packing_cached(int(n), int(size), int(seed), int(draws)))
+    return DirectionCodebook(_best_packing_cached(n, size, seed, draws))
 
 
 def save_codebook(codebook: ShapeGainCodebook, path):

@@ -25,15 +25,15 @@ or complex ufunc multiply.  So, byte for byte:
 
 Still allowed to vary: the BLAS scores of ``codebooks._nearest``, which pick
 memoryless indices and the seed codewords of memoryless initialization (and
-so could differ only at near-ties); the near-ties of ``best_packing``; libm's
-``cos``/``sin`` of the magnitude levels, taken once per codebook (the
-direction-only search needs no libm: half-angle formulas give its arcs); the
-traces themselves (their Philox normals across numpy versions, and numpy's
-norms in their normalization); and the BLAS dot products of the public
+so could differ only at near-ties); for a ``best_packing`` key that is
+searched, its Philox normals and its near-ties (the keys the configs build
+load shipped constants, and depend on neither); libm's ``cos``/``sin`` of
+the magnitude levels, taken once per codebook (the direction-only search
+needs no libm: half-angle formulas give its arcs); the traces themselves
+(their Philox normals across numpy versions, and numpy's norms in their
+normalization); and the BLAS dot products of the public
 ``chordal_distance``, ``log_map`` and ``parallel_transport``, which the
 training harvests use for their tangents but the update never calls.
-The float32 screen of ``best_packing`` only drops candidates whose exact
-score is certain to lose, so its near-tie clause above is unchanged.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebooks import DirectionCodebook, ShapeGainCodebook, _nearest, _scores
+from .codebooks import DirectionCodebook, ShapeGainCodebook, _count, _nearest, _scores
 from .geometry import (
     RHO_MIN,
     ZERO_TANGENT_TOL,
@@ -663,6 +663,9 @@ def write_index_stream(path, indices, n_m: int):
 
 def read_index_stream(path, n_m: int) -> tuple[CodewordIndex, ...]:
     """Inverse of :func:`write_index_stream`."""
+    n_m = _count("n_m", n_m)
+    if n_m < 1:
+        raise ValueError(f"n_m must be at least 1, got {n_m}")
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:

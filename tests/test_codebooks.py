@@ -1,6 +1,10 @@
 """Unit tests for codebook containers, training-set harvesting, Lloyd
 training, uniform grids, random packings, and codebook file I/O."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,7 +36,20 @@ from grasspc import (
     save_codebook,
     uniform_magnitude,
 )
-from grasspc.codebooks import _SCREEN_MARGIN, _projector_features, _screen, canonical_phase
+from grasspc import codebooks
+from grasspc.codebooks import (
+    _SCREEN_MARGIN,
+    _best_packing_cached,
+    _projector_features,
+    _screen,
+    _search_packing,
+    canonical_phase,
+)
+
+REPO = Path(__file__).resolve().parents[1]
+PACKINGS = Path(codebooks.__file__).parent / "packings"
+# The (n, size, seed, draws) keys the configs build, shipped as constants.
+SHIPPED_KEYS = [(4, 64, 0, 10_000), (4, 512, 0, 10_000), (3, 16, 0, 10_000)]
 
 
 def unit_rows(n_rows, n, rng):
@@ -141,6 +158,22 @@ def test_uniform_magnitude_grids():
         uniform_magnitude(4, 0.5, 0.2)
     with pytest.raises(ValueError):
         uniform_magnitude(4, 0.0, 3.2)
+    assert np.array_equal(uniform_magnitude(np.int64(4)).entries, uniform_magnitude(4).entries)
+
+
+@pytest.mark.parametrize(
+    "n_m, message",
+    [
+        (0, "power of two, got 0"),
+        (-2, "power of two, got -2"),
+        (3, "power of two, got 3"),
+        (2.5, "n_m must be an integer, got 2.5"),
+        (4.0, "n_m must be an integer, got 4.0"),
+    ],
+)
+def test_uniform_magnitude_rejects_bad_level_counts(n_m, message):
+    with pytest.raises(ValueError, match=message):
+        uniform_magnitude(n_m)
 
 
 def test_canonical_phase():
@@ -358,6 +391,27 @@ def test_best_packing_deterministic_and_separated():
         best_packing(1, 4)
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, name",
+    [
+        ((4.5, 8), {}, "n"),
+        ((4.0, 64), {}, "n"),
+        ((4, 8.9), {}, "size"),
+        ((4, 8), {"draws": 2.5}, "draws"),
+        ((4, 8), {"seed": 0.5}, "seed"),
+        (("4", 8), {}, "n"),
+    ],
+)
+def test_best_packing_rejects_non_integer_arguments(args, kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        best_packing(*args, **kwargs)
+
+
+def test_best_packing_accepts_numpy_integers():
+    got = best_packing(np.int64(4), np.int32(8), seed=np.uint8(1), draws=np.int16(50))
+    assert got.entries.tobytes() == best_packing(4, 8, seed=1, draws=50).entries.tobytes()
+
+
 def full_gram_packing(n, size, seed, draws):
     """Reference search: score every candidate on its whole Gram matrix.
 
@@ -444,6 +498,81 @@ def early_abandon_packing(n, size, seed, draws):
 def test_best_packing_matches_unscreened_search_at_published_scale():
     got = best_packing(4, 512, seed=0, draws=10_000)
     assert got.entries.tobytes() == early_abandon_packing(4, 512, 0, 10_000).tobytes()
+
+
+@pytest.fixture
+def fresh_packing_cache():
+    """An empty packing cache, emptied again afterwards so that nothing a
+    monkeypatched test puts in it outlives the test."""
+    _best_packing_cached.cache_clear()
+    yield
+    _best_packing_cached.cache_clear()
+
+
+def test_shipped_packings_are_the_configs_keys():
+    names = sorted(p.name for p in PACKINGS.iterdir())
+    assert names == sorted("-".join(map(str, key)) + ".npy" for key in SHIPPED_KEYS)
+
+
+@pytest.mark.parametrize("n, size, seed, draws", SHIPPED_KEYS)
+def test_shipped_packing_is_the_search_result(n, size, seed, draws):
+    shipped = np.load(codebooks._packing_file(n, size, seed, draws), allow_pickle=False)
+    assert shipped.dtype == np.complex128 and shipped.shape == (size, n)
+    # The search itself, past both the file and the cache.
+    assert shipped.tobytes() == _search_packing(n, size, seed, draws).tobytes()
+
+
+def test_shipped_packing_makes_no_draw(monkeypatch, fresh_packing_cache):
+    def no_search(*key):
+        raise AssertionError(f"searched for shipped key {key}")
+
+    monkeypatch.setattr(codebooks, "_search_packing", no_search)
+    monkeypatch.setattr(codebooks, "rng_stream", no_search)
+    got = best_packing(4, 512)
+    assert got.entries.tobytes() == np.load(PACKINGS / "4-512-0-10000.npy").tobytes()
+
+
+def test_unshipped_key_still_searches(monkeypatch, fresh_packing_cache):
+    searched = []
+
+    def recording_search(*key):
+        searched.append(key)
+        return _search_packing(*key)
+
+    monkeypatch.setattr(codebooks, "_search_packing", recording_search)
+    best_packing(3, 16, draws=2000)
+    best_packing(4, 64)
+    assert searched == [(3, 16, 0, 2000)]
+
+
+@pytest.mark.parametrize(
+    "table",
+    [np.ones((8, 3), np.complex128), np.ones((4, 8), np.complex128), np.ones((8, 4))],
+    ids=["narrow", "transposed", "float64"],
+)
+def test_shipped_packing_that_does_not_fit_its_key_raises(
+    tmp_path, monkeypatch, fresh_packing_cache, table
+):
+    path = tmp_path / "4-8-0-10.npy"
+    np.save(path, table, allow_pickle=False)
+    monkeypatch.setattr(codebooks, "_packing_file", lambda *key: str(path))
+    with pytest.raises(ValueError, match="shipped packing"):
+        best_packing(4, 8, draws=10)
+
+
+def test_package_build_copies_the_shipped_packings(tmp_path):
+    pytest.importorskip("setuptools")
+    lib = tmp_path / "lib"
+    # egg_info goes to tmp_path too, so the build leaves nothing in the tree.
+    subprocess.run(
+        [
+            sys.executable, "-c", "import setuptools; setuptools.setup()",
+            "egg_info", "--egg-base", str(tmp_path), "build_py", "-d", str(lib),
+        ],
+        cwd=REPO, check=True, capture_output=True,
+    )
+    built = sorted(p.name for p in (lib / "grasspc" / "packings").glob("*.npy"))
+    assert built == sorted(p.name for p in PACKINGS.glob("*.npy"))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])

@@ -435,6 +435,16 @@ def test_index_stream_round_trip(tmp_path):
     assert all(line.isdigit() for line in lines)
 
 
+@pytest.mark.parametrize(
+    "n_m, message", [(0, "at least 1, got 0"), (-4, "at least 1, got -4"), (2.5, "an integer")]
+)
+def test_read_index_stream_rejects_bad_magnitude_counts(tmp_path, n_m, message):
+    path = tmp_path / "stream.txt"
+    path.write_text("5\n")
+    with pytest.raises(ValueError, match=f"n_m must be {message}"):
+        read_index_stream(path, n_m)
+
+
 def test_index_stream_rejects_reinit_gaps(tmp_path):
     with pytest.raises(ValueError, match="gap"):
         write_index_stream(tmp_path / "s.txt", [CodewordIndex(0, 0), None], 4)
