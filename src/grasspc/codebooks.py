@@ -346,6 +346,8 @@ def lloyd_direction(
         raise ValueError("samples must be a 2-D array of unit rows (drop zero tangents)")
     X = np.array([canonical_phase(r) for r in X])
     m = X.shape[0]
+    n_d, max_iters = _count("n_d", n_d), _count("max_iters", max_iters)
+    seed = _count("seed", seed)
     if not _is_pow2(n_d):
         raise ValueError(f"N_d must be a power of two, got {n_d}")
     if m < n_d:
@@ -378,6 +380,7 @@ def lloyd_magnitude(
     vals = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     if vals.size == 0:
         raise ValueError("no magnitude samples")
+    n_m, max_iters = _count("n_m", n_m), _count("max_iters", max_iters)
     if not _is_pow2(n_m):
         raise ValueError(f"N_m must be a power of two, got {n_m}")
 
@@ -404,80 +407,8 @@ def uniform_magnitude(n_m: int, lo: float = 0.0, hi: float = 1.0) -> MagnitudeCo
     return MagnitudeCodebook(lo + step * (np.arange(n_m) + 0.5))
 
 
-#: Gram rows scored per step of both packing-search stages.
+#: Gram rows scored per step of the packing search.
 _PACKING_BLOCK_ROWS = 16
-#: The screen drops a candidate only when one of its screened |inner|^2
-#: reaches the best exact score plus n^2 times this.  A screened entry, the
-#: float32 dot product of two unit vectors of length n^2 built in float32,
-#: is within about (n^2 + 2n + 16) 2^-24 of the exact value (8 2^-24 at most
-#: when measured at n = 4), so such a candidate's exact score is at least
-#: the best score too.
-_SCREEN_MARGIN = 2.0**-16
-
-
-def _projector_features(re, im) -> np.ndarray:
-    """Flattened rank-one projectors of the rows a = re + i im, in float32.
-
-    Row a (last axis of ``re`` and ``im``) maps to |a_k|^2 for each k and
-    sqrt(2) Re/Im(a_k conj(a_l)) for each k < l, all over ||a||^2: a unit
-    vector whose dot product with another row's is |<a, b>|^2 / (||a||^2
-    ||b||^2).  Accurate to float32 rounding while ||a||^2 is a normal
-    float32, as for any Gaussian draw; a zero row gives NaN.
-    """
-    n = re.shape[-1]
-    k, l = np.triu_indices(n, 1)
-    # Coordinate-major copies: every product below runs on whole slabs.
-    re = np.moveaxis(re, -1, 0).astype(np.float32)
-    im = np.moveaxis(im, -1, 0).astype(np.float32)
-    # Built in place in one buffer: with few live temporaries the search
-    # leaves less freed heap behind it.
-    feat = np.empty((n * n,) + re.shape[1:], np.float32)
-    power, real, imag = feat[:n], feat[n : n + k.size], feat[n + k.size :]
-    np.multiply(re, re, out=power)
-    power += im * im
-    np.multiply(re[k], re[l], out=real)
-    real += im[k] * im[l]
-    np.multiply(im[k], re[l], out=imag)
-    imag -= re[k] * im[l]
-    scale = 1.0 / sum(power)
-    power *= scale
-    feat[n:] *= np.float32(np.sqrt(2.0)) * scale
-    return np.moveaxis(feat, 0, -1)
-
-
-def _early_abandon(rows, cols, block_rows: int, entry, alive):
-    """Largest off-diagonal Gram entry of stacked candidates, given up early.
-
-    Candidate c's Gram matrix is ``entry(rows[c] @ cols[c])``.  It is scored
-    ``block_rows`` rows at a time into a running off-diagonal max, and after
-    each block only the candidates where ``alive(running)`` holds go on.
-    Returns the indices of the candidates that survive every block, in
-    order, and their maxima.
-    """
-    index = np.arange(rows.shape[0])
-    running = np.zeros(rows.shape[0])
-    for r0 in range(0, rows.shape[1], block_rows):
-        block = entry(rows[:, r0 : r0 + block_rows] @ cols)
-        diag = np.arange(block.shape[1])
-        block[:, diag, r0 + diag] = 0.0
-        running = np.maximum(running, block.reshape(running.size, -1).max(axis=1))
-        keep = alive(running)
-        if not keep.all():
-            index, rows, cols, running = index[keep], rows[keep], cols[keep], running[keep]
-            if running.size == 0:
-                break
-    return index, running
-
-
-def _screen(re, im, limit: float) -> np.ndarray:
-    """Indices of the candidate codebooks ``re + i im`` (stacked (size, n)
-    slabs) that no screened off-diagonal |inner|^2 drops: an entry drops
-    its candidate only when it is ``>= limit``, so a NaN keeps it."""
-    feat = _projector_features(re, im)
-    index, _ = _early_abandon(
-        feat, np.swapaxes(feat, 1, 2), _PACKING_BLOCK_ROWS, lambda g: g, lambda r: ~(r >= limit)
-    )
-    return index
 
 
 def _packing_file(n: int, size: int, seed: int, draws: int) -> str:
@@ -510,30 +441,29 @@ def _search_packing(n: int, size: int, seed: int, draws: int) -> np.ndarray:
     done = 0
     while done < draws:
         b = min(chunk, draws - done)
-        re = rng.standard_normal((b, size, n))
-        im = rng.standard_normal((b, size, n))
+        rows = rng.standard_normal((b, size, n)) + 1j * rng.standard_normal((b, size, n))
+        rows /= np.linalg.norm(rows, axis=2, keepdims=True)
         done += b
-        screened = _screen(re, im, best_score + n * n * _SCREEN_MARGIN)
-        if screened.size == 0:
-            continue
-        # Normalized as a whole chunk before the subset is taken: a subset
-        # could send elements through another SIMD tail and change bits.
-        cand = re + 1j * im
-        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-        cand = cand[screened]
-        # A winner must score strictly below best_score, so a candidate
-        # whose running max reaches it is dropped without finishing.
-        index, running = _early_abandon(
-            cand,
-            np.conj(np.swapaxes(cand, 1, 2)),
-            _PACKING_BLOCK_ROWS,
-            lambda g: np.abs(g) ** 2,
-            lambda r: r < best_score,
-        )
+        cols = np.conj(np.swapaxes(rows, 1, 2))
+        # Each candidate's running off-diagonal max of |inner|^2, a block of
+        # Gram rows at a time.  A winner must score strictly below
+        # best_score, so a candidate whose running max reaches it is
+        # dropped without finishing.
+        running = np.zeros(b)
+        for r0 in range(0, size, _PACKING_BLOCK_ROWS):
+            block = np.abs(rows[:, r0 : r0 + _PACKING_BLOCK_ROWS] @ cols) ** 2
+            diag = np.arange(block.shape[1])
+            block[:, diag, r0 + diag] = 0.0
+            running = np.maximum(running, block.reshape(running.size, -1).max(axis=1))
+            keep = running < best_score
+            if not keep.all():
+                rows, cols, running = rows[keep], cols[keep], running[keep]
+                if running.size == 0:
+                    break
         if running.size:
             k = int(running.argmin())  # first minimum, as over the whole chunk
             best_score = float(running[k])
-            best = cand[index[k]].copy()
+            best = rows[k].copy()
     return best
 
 
@@ -541,21 +471,12 @@ def best_packing(n: int, size: int, seed: int = 0, draws: int = 10_000) -> Direc
     """Best of ``draws`` random codebooks by minimum pairwise chordal distance.
 
     A codebook's score is its largest off-diagonal |inner|^2; the first
-    codebook drawn with the smallest score wins.  Each chunk of candidates
-    is searched in two stages, both scoring Gram rows a block at a time and
-    dropping a candidate once its running max rules it out:
-
-    * a screen on the raw draws, comparing float32 rank-one projectors (one
-      real matrix product per block), drops a candidate only when an entry
-      reaches the best exact score so far plus a margin at least 40 times
-      its rounding error, so the candidate's exact score cannot beat it;
-    * the exact scoring of what is left, on the chunk normalized as a whole
-      in float64, drops a candidate once an entry reaches the best score.
-
-    The screen thus drops only candidates that the exact scoring would drop
-    too, and the result, byte for byte, is the one a full scoring of every
-    candidate would pick.  Deterministic in (n, size, seed, draws); results
-    are cached in-process.
+    codebook drawn with the smallest score wins.  Candidates are drawn in
+    chunks and scored a block of Gram rows at a time, and a candidate is
+    dropped as soon as one entry reaches the best score so far, since it
+    can no longer win; the result, byte for byte, is the one a full scoring
+    of every candidate would pick.  Deterministic in (n, size, seed,
+    draws); results are cached in-process.
 
     The keys the configs build, (4, 64), (4, 512) and (3, 16) at seed 0 and
     10,000 draws, load shipped constants instead (``packings/*.npy`` in the

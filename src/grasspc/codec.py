@@ -104,26 +104,38 @@ class TrackingLostError(CutLocusError):
 
 @dataclass(frozen=True)
 class CodewordIndex:
-    """Index pair into a shape-gain codebook, one per encoded step."""
+    """Index pair into a shape-gain codebook, one per encoded step.
+
+    Both fields are nonnegative integers; numpy integers are stored as ints.
+    """
 
     direction_index: int
     magnitude_index: int
 
     def __post_init__(self):
-        if self.direction_index < 0 or self.magnitude_index < 0:
+        d, m = self.direction_index, self.magnitude_index
+        # Plain ints, which the codec builds once per step, skip the calls.
+        if type(d) is not int or type(m) is not int:
+            d, m = _count("direction_index", d), _count("magnitude_index", m)
+            object.__setattr__(self, "direction_index", d)
+            object.__setattr__(self, "magnitude_index", m)
+        if d < 0 or m < 0:
             raise ValueError("indices must be nonnegative")
 
     def serialize(self, n_m: int) -> int:
         """Single-integer wire form: direction_index * N_m + magnitude_index."""
+        n_m = _count("n_m", n_m)
         if self.magnitude_index >= n_m:
             raise ValueError(f"magnitude_index {self.magnitude_index} >= N_m = {n_m}")
         return self.direction_index * n_m + self.magnitude_index
 
     @classmethod
     def deserialize(cls, value: int, n_m: int) -> "CodewordIndex":
-        value = int(value)
+        value, n_m = _count("serialized index", value), _count("n_m", n_m)
         if value < 0:
             raise ValueError("serialized index must be nonnegative")
+        if n_m < 1:
+            raise ValueError(f"n_m must be at least 1, got {n_m}")
         return cls(value // n_m, value % n_m)
 
 

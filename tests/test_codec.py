@@ -79,6 +79,35 @@ def test_codeword_index_validation():
         CodewordIndex.deserialize(-4, 8)
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [((1.5, 0), "direction_index"), ((0, 2.0), "magnitude_index"), (("1", 0), "direction_index")],
+)
+def test_codeword_index_rejects_non_integer_fields(fields, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        CodewordIndex(*fields)
+
+
+def test_codeword_index_wire_forms_reject_non_integers():
+    with pytest.raises(ValueError, match="^serialized index must be an integer"):
+        CodewordIndex.deserialize(17.9, 8)
+    with pytest.raises(ValueError, match="^n_m must be an integer"):
+        CodewordIndex.deserialize(17, 8.0)
+    with pytest.raises(ValueError, match="^n_m must be at least 1"):
+        CodewordIndex.deserialize(17, 0)
+    with pytest.raises(ValueError, match="^n_m must be an integer"):
+        CodewordIndex(1, 2).serialize(8.0)
+
+
+def test_codeword_index_numpy_integers_round_trip_the_stream(tmp_path):
+    idx = CodewordIndex(np.int64(1), np.uint8(4))
+    assert (type(idx.direction_index), type(idx.magnitude_index)) == (int, int)
+    path = tmp_path / "stream.txt"
+    write_index_stream(path, [idx, CodewordIndex.deserialize(np.int32(17), np.int64(8))], 8)
+    assert path.read_text() == "12\n17\n"
+    assert read_index_stream(path, 8) == (CodewordIndex(1, 4), CodewordIndex(2, 1))
+
+
 def test_state_validation():
     x = basis(3, 0)
     with pytest.raises(ValueError, match="time"):
