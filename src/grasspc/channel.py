@@ -11,6 +11,7 @@ G(n, 1); all randomness flows through named Philox substreams so that any
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -78,13 +79,30 @@ def bessel_j0(x):
     return np.array([_j0(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
 
 
+def _count(name: str, value) -> int:
+    """An integer argument (a count, size or seed) as an int: Python and
+    numpy integers pass, anything else (a float such as 4.0 included) is a
+    ValueError naming ``name``, rather than being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _int_fields(obj, *names: str):
+    """Store the named fields of a frozen dataclass as ints, by :func:`_count`."""
+    for name in names:
+        object.__setattr__(obj, name, _count(name, getattr(obj, name)))
+
+
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
     """Named, splittable generator: Philox keyed by (seed, *key).
 
     Distinct key tuples give statistically independent streams; the same
     tuple reproduces the identical stream everywhere.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    key = tuple(_count("key", k) for k in key)
+    ss = np.random.SeedSequence(entropy=_count("seed", seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -106,6 +124,7 @@ class Ar1Params:
     seed: int
 
     def __post_init__(self):
+        _int_fields(self, "n", "steps", "seed")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.beta < 0.0 or not np.isfinite(self.beta):
@@ -139,6 +158,7 @@ class Ar2Params:
     seed: int
 
     def __post_init__(self):
+        _int_fields(self, "n", "steps", "seed")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.steps < 3:
@@ -213,10 +233,18 @@ def ar1_from_innovations(z: np.ndarray, alpha: float) -> np.ndarray:
 
 def gen_ar1(params: Ar1Params) -> ChannelTrace:
     """Generate a stationary AR(1) trace; same params give identical bits."""
-    rng = rng_stream(params.seed)
-    z = complex_gaussian(rng, (params.steps, params.n))
-    h = ar1_from_innovations(z, params.alpha)
-    return ChannelTrace(raw=h, normalized=_normalize_rows(h))
+    return _ar1_traces(params, (params.seed,))[0]
+
+
+def _ar1_traces(params: Ar1Params, seeds) -> list[ChannelTrace]:
+    """The traces of ``params`` at ``seeds`` (not its own seed), from one
+    recursion over the stacked innovations.  It is elementwise with a real
+    coefficient and each trace is normalized from its own contiguous rows,
+    so every trace has the bits it has when its seed is generated alone."""
+    shape = (params.steps, params.n)
+    z = np.stack([complex_gaussian(rng_stream(seed), shape) for seed in seeds], axis=1)
+    raws = ar1_from_innovations(z, params.alpha).swapaxes(0, 1).copy()
+    return [ChannelTrace(raw=raw, normalized=_normalize_rows(raw)) for raw in raws]
 
 
 def gen_ar2(params: Ar2Params) -> ChannelTrace:

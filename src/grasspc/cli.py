@@ -35,7 +35,7 @@ from .analysis import (
     memoryless_lower_bound,
     memoryless_squared_errors,
 )
-from .channel import Ar1Params, Ar2Params, gen_ar1, gen_ar2, rng_stream, save_trace
+from .channel import Ar1Params, Ar2Params, _ar1_traces, gen_ar1, gen_ar2, rng_stream, save_trace
 from .codebooks import (
     ShapeGainCodebook,
     _harvest_closed_rows,
@@ -291,11 +291,11 @@ def _trace(params, seed: int):
 
 def _traces(params, seed: int, tag: int, trials: int) -> list:
     """``trials`` traces of ``params``, each at a 63-bit seed derived from
-    (seed, tag, trial)."""
-    return [
-        _trace(params, int(rng_stream(seed, tag, trial).integers(0, 2**63)))
-        for trial in range(trials)
-    ]
+    (seed, tag, trial); AR(1) traces share one recursion."""
+    seeds = [int(rng_stream(seed, tag, trial).integers(0, 2**63)) for trial in range(trials)]
+    if isinstance(params, Ar1Params):
+        return _ar1_traces(params, seeds)
+    return [_trace(params, s) for s in seeds]
 
 
 def _write_csv(config: ExperimentConfig, columns, rows):

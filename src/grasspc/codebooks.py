@@ -12,14 +12,13 @@ iterations separately on the direction rows and the magnitudes.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .channel import rng_stream
+from .channel import _count, rng_stream
 from .geometry import CutLocusError, _log_coords, _predict_coords
 
 __all__ = [
@@ -53,16 +52,6 @@ _MONOTONE_SLACK = 1e-12
 
 def _is_pow2(k: int) -> bool:
     return k >= 1 and (k & (k - 1)) == 0
-
-
-def _count(name: str, value) -> int:
-    """An integer argument (a count, size or seed) as an int: Python and
-    numpy integers pass, anything else (a float such as 4.0 included) is a
-    ValueError naming ``name``, rather than being truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ implementation of that update.  It steps B independent sessions at once on
 real and imaginary float columns (Python floats when B = 1, (B,) arrays
 otherwise): the encoder, the decoder, the closed-loop training harvest and
 every experiment run it, the experiments with all their sessions in one
-batch (through ``_encode_rows``).  Points are built only where a public
-function takes or returns them.
+batch (through ``_encode_rows``).  A batch's joint search computes into a
+workspace that ``_run``'s ``_Book`` keeps, so no step allocates its large
+temporaries; one session keeps whole-tensor products, the fewest calls.
+Points are built only where a public function takes or returns them.
 
 Determinism.  Every quantity of the update (the prediction, the codeword
 reconstruction, the geodesic step, norms, chordal errors and the joint- and
@@ -44,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebooks import DirectionCodebook, ShapeGainCodebook, _count, _nearest, _scores
+from .channel import _count
+from .codebooks import DirectionCodebook, ShapeGainCodebook, _nearest, _scores
 from .geometry import (
     RHO_MIN,
     ZERO_TANGENT_TOL,
@@ -192,8 +195,12 @@ def _pair(index: CodewordIndex, codebook: ShapeGainCodebook) -> tuple[int, int]:
 # coordinate part when B = 1, and a (B,) array slot otherwise.
 
 #: Larger encoder batches run this many sessions per kernel call, which
-#: bounds the search's (N_d, N_m, B) temporaries; the bits do not depend on it.
+#: bounds the search's workspace (its largest buffer is the (N_d, N_m, B)
+#: scores); one session skips the workspace.  The bits depend on neither.
 _CHUNK = 256
+
+
+_Space = namedtuple("_Space", "re im t u den score")
 
 
 class _Book:
@@ -217,6 +224,16 @@ class _Book:
         self.sin = [math.sin(m) for m in levels]
         self.cos_col = np.array(self.cos)[:, None]
         self.sin_col = np.array(self.sin)[:, None]
+        self._space = None
+
+    def space(self, width: int) -> _Space:
+        """The batched search's buffers for ``width`` sessions: (re, im) planes
+        (p/o, N_d, B) of g and h, two for terms, ``den`` and the scores."""
+        if self._space is None or self._space.den.shape[1] != width:
+            n_d = len(self.sq)
+            self._space = _Space(*np.empty((4, 2, n_d, width)), np.empty((n_d, width)),
+                                 np.empty((n_d, self.n_m, width)))
+        return self._space
 
     def codeword(self, d):
         if type(d) is int:
@@ -241,22 +258,49 @@ def _projections(book: _Book, predicted, observed, rho):
 
         s_d = (h_d - g_d rho) / sqrt(||c_d||^2 - |g_d|^2),
 
-    and 0 where the projection collapses.  Returns s as (re; im), shape
-    (2, N_d, B)."""
+    and 0 where the projection collapses.  Returns s as (re; im): shape
+    (2, N_d, 1) for one session, and for a batch two (N_d, B) planes of the
+    book's workspace, valid until its next search."""
+    if type(rho[0]) is not float:
+        return _planes(book, predicted, observed, rho)
     n = len(predicted[0])
     x = np.array([*predicted[0], *predicted[1], *observed[0], *observed[1]])
     x = x.reshape(2, 2 * n, -1).transpose(1, 0, 2)[:, None, :, None]  # (2n, 1, p/o, 1, B)
-    split = book.split
-    if x.shape[-1] == 1:  # one small product costs the fewest calls
-        terms = split * x  # (2n, re/im, p/o, N_d, B)
-        g, h = _csum(terms[:n] + terms[n:]).swapaxes(0, 1)
-    else:  # one coordinate at a time keeps a batch's temporaries in cache
-        g, h = _csum(split[k] * x[k] + split[n + k] * x[n + k] for k in range(n)).swapaxes(0, 1)
+    terms = book.split * x  # (2n, re/im, p/o, N_d, B): one small product costs the fewest calls
+    g, h = _csum(terms[:n] + terms[n:]).swapaxes(0, 1)
     rr, ri = rho
     g_rho = g * rr + g[::-1] * _stacked((-ri, ri))
     gg = g * g
     den = book.sq - (gg[0] + gg[1])
     return (h - g_rho) / np.sqrt(np.where(den > PROJECTION_COLLAPSE_TOL**2, den, np.inf))
+
+
+def _planes(book: _Book, predicted, observed, rho):
+    """:func:`_projections` for a batch, into the book's workspace, by the
+    same float operations in the same order: g and h one coordinate at a
+    time, the terms (c_r v_r + c_i v_i, c_r v_i - c_i v_r) summed as
+    :func:`_inner` sums them."""
+    rr, ri = rho
+    w = book.space(len(rr))
+    vr = np.array((predicted[0], observed[0]))[:, :, None]  # (p/o, n, 1, B)
+    vi = np.array((predicted[1], observed[1]))[:, :, None]
+    for k, (cr, ci) in enumerate(zip(book.cr[:, :, None], book.ci[:, :, None])):
+        for out, x, y, combine in ((w.re, vr, vi, np.add), (w.im, vi, vr, np.subtract)):
+            terms = np.multiply(cr, x[:, k], out=w.t), np.multiply(ci, y[:, k], out=w.u)
+            combine(*terms, out=out if k == 0 else w.t)
+            if k:
+                out += w.t
+    (gr, hr), (gi, hi), t, u, den = w.re, w.im, w.t, w.u, w.den
+    np.add(np.multiply(gr, gr, out=t[0]), np.multiply(gi, gi, out=u[0]), out=t[0])
+    np.subtract(book.sq, t[0], out=den)
+    den[~(den > PROJECTION_COLLAPSE_TOL**2)] = np.inf  # before sqrt: no invalid-value warning
+    np.sqrt(den, out=den)
+    # h - g rho over the scale, into h's planes: g is not needed again.
+    np.subtract(np.multiply(gr, rr, out=t[0]), np.multiply(gi, ri, out=t[1]), out=t[0])
+    np.add(np.multiply(gi, rr, out=u[0]), np.multiply(gr, ri, out=u[1]), out=u[0])
+    np.divide(np.subtract(hr, t[0], out=hr), den, out=hr)
+    np.divide(np.subtract(hi, u[0], out=hi), den, out=hi)
+    return hr, hi
 
 
 def _pick(book: _Book, predicted, observed, rho, chord):
@@ -266,10 +310,22 @@ def _pick(book: _Book, predicted, observed, rho, chord):
     error tangent short-circuits to (0, 0)."""
     if type(chord) is float and chord < ZERO_TANGENT_TOL:
         return 0, 0
-    inner = book.sin_col * _projections(book, predicted, observed, rho)[:, :, None]
-    inner += book.cos_col * _stacked(rho)[:, None]
-    inner *= inner
-    score = inner[0] + inner[1]  # (N_d, N_m, B)
+    s = _projections(book, predicted, observed, rho)
+    if type(chord) is float:  # one small product costs the fewest calls
+        inner = book.sin_col * s[:, :, None]
+        inner += book.cos_col * _stacked(rho)[:, None]
+        inner *= inner
+        score = inner[0] + inner[1]  # (N_d, N_m, 1)
+    else:  # the same operations, one level at a time into the workspace
+        w = book.space(len(chord))
+        score, (a, b) = w.score, w.t
+        cos_rho = book.cos_col * rho[0], book.cos_col * rho[1]  # (N_m, B) each
+        for m, (sin, cos_rr, cos_ri) in enumerate(zip(book.sin, *cos_rho)):
+            for part, s_part, cos_rho in ((a, s[0], cos_rr), (b, s[1], cos_ri)):
+                np.multiply(s_part, sin, out=part)
+                part += cos_rho
+                part *= part
+            np.add(a, b, out=score[:, m])
     flat = score.reshape(-1, score.shape[-1]).argmax(axis=0)
     if type(chord) is float:
         return divmod(int(flat[0]), book.n_m)

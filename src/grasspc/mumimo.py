@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ar1_from_innovations, bessel_j0, complex_gaussian, rng_stream
+from .channel import _int_fields, ar1_from_innovations, bessel_j0, complex_gaussian, rng_stream
 from .codebooks import ShapeGainCodebook, _nearest, best_packing, uniform_magnitude
 from .codec import _encode_rows
 from .geometry import _unit_rows
@@ -110,16 +110,22 @@ class Beamformers:
 
 def _zf_columns(h: np.ndarray) -> np.ndarray:
     """:func:`zf_beamformers` columns (..., N_t, U) for a stack of composite
-    channels (..., U, N_t); any rank-deficient one raises."""
-    smallest = np.linalg.svd(h, compute_uv=False)[..., -1]
+    channels (..., U, N_t); any rank-deficient one raises.
+
+    The receive model is y_u = h_u^H x, so the cross terms are nulled by the
+    pseudoinverse of the conjugated rows.  One SVD h = U S V^H gives the rank
+    guard (the last singular value) and V^T S^-1 U^T, formed as
+    ``np.linalg.pinv(h.conj())`` forms it from the same SVD: the same bits
+    whenever pinv keeps every singular value (condition number below 1e15).
+    """
+    u, s, vt = np.linalg.svd(h, full_matrices=False)
+    smallest = s[..., -1]
     if np.any(smallest <= RANK_TOL):
         raise RankDeficientError(
             f"smallest singular value {np.min(smallest):.3e} <= {RANK_TOL:g}; "
             "zero-forcing needs a full-row-rank composite channel"
         )
-    # Receive model is y_u = h_u^H x, so the matrix whose pseudoinverse
-    # nulls the cross terms is the conjugated row stack.
-    pinv = np.linalg.pinv(h.conj())
+    pinv = np.swapaxes(vt, -1, -2) @ ((1.0 / s)[..., None] * np.swapaxes(u, -1, -2))
     return pinv / np.linalg.norm(pinv, axis=-2, keepdims=True)
 
 
@@ -212,6 +218,7 @@ class SumRateConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _int_fields(self, "n_t", "users", "bits", "magnitude_bits", "trials", "steps", "discard", "seed")
         if self.n_t < 2:
             raise ValueError(f"n_t must be >= 2, got {self.n_t}")
         if not 1 <= self.users <= self.n_t:
@@ -266,29 +273,32 @@ def default_gpc_codebook(config: SumRateConfig) -> ShapeGainCodebook:
     )
 
 
-def _window_mean_rates(true_steps, quantized_steps, powers_per_user, users):
-    """Mean sum rate over a window of channel uses, one value per SNR.
+def _window_mean_rates(true_steps, quantized_steps, powers_per_user, window):
+    """Mean sum rate per trial and SNR, shape (trials, SNR).
 
-    ``true_steps`` and ``quantized_steps`` are (W, U, n) stacks; the
-    quantized rows steer the zero-forcing beamformers while the true rows
-    set the SINR.
+    ``true_steps`` and ``quantized_steps`` are (trials * window, U, n)
+    stacks with channel uses on axis 0, each trial's ``window`` uses
+    consecutive; the quantized rows steer the zero-forcing beamformers while
+    the true rows set the SINR.  Each trial's uses are summed in order, so
+    its means have the bits they have when the trial is evaluated alone.
     """
     a, signal, interference = _sinr_terms(true_steps, _zf_columns(quantized_steps))
-    pa = powers_per_user[:, None] * a[:, None]  # (W, SNR, U)
+    pa = powers_per_user[:, None] * a[:, None]  # (uses, SNR, U)
     sinr = pa * signal[:, None] / (1.0 + pa * interference[:, None])
-    totals = np.zeros(len(powers_per_user))
-    for rates in np.log2(1.0 + sinr).sum(axis=2):
-        totals += rates  # use by use, in order: the totals' rounding depends on it
-    return totals / len(true_steps)
+    rates = np.log2(1.0 + sinr).sum(axis=2).reshape(-1, window, len(powers_per_user))
+    totals = np.zeros((len(rates), len(powers_per_user)))
+    for use in range(window):
+        totals += rates[:, use]  # use by use, in order: the totals' rounding depends on it
+    return totals / window
 
 
-def _perfect_csi_trial(config: SumRateConfig, trial: int, powers) -> np.ndarray:
+def _perfect_csi_trial(config: SumRateConfig, trial: int):
     rng = rng_stream(config.seed, 0x50, trial)
     h = complex_gaussian(rng, (config.window, config.users, config.n_t))
-    return _window_mean_rates(h, h, powers, config.users)
+    return h, h
 
 
-def _memoryless_trial(config: SumRateConfig, trial: int, powers) -> np.ndarray:
+def _memoryless_trial(config: SumRateConfig, trial: int):
     rng = rng_stream(config.seed, 0x3E, trial)
     h = complex_gaussian(rng, (config.window, config.users, config.n_t))
     quantized = np.empty_like(h)
@@ -298,30 +308,23 @@ def _memoryless_trial(config: SumRateConfig, trial: int, powers) -> np.ndarray:
         codebook = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         directions = h[:, u, :] / np.linalg.norm(h[:, u, :], axis=1, keepdims=True)
         quantized[:, u, :] = codebook[_nearest(directions, codebook)[0]]
-    return _window_mean_rates(h, quantized, powers, config.users)
+    return h, quantized
 
 
-def _gpc_rates(config: SumRateConfig, fdts: float, codebook: ShapeGainCodebook, powers):
-    """Mean rates (trials, SNR) of the ``gpc`` scheme: every trial's users
+def _gpc_steps(config: SumRateConfig, fdts: float, codebook: ShapeGainCodebook):
+    """True and tracked (trials * window, U, n) stacks of the ``gpc``
+    scheme: all (trial, user) channels run through one AR(1) recursion and
     are tracked by one batch of codec sessions."""
-    alpha = bessel_j0(2.0 * math.pi * fdts)
-    raw = np.array(
-        [
-            ar1_from_innovations(
-                complex_gaussian(rng_stream(config.seed, 0xA1, trial, u), (config.steps, config.n_t)),
-                alpha,
-            )
-            for trial in range(config.trials)
-            for u in range(config.users)
-        ]
-    )
+    keys = [(trial, u) for trial in range(config.trials) for u in range(config.users)]
+    shape = (config.steps, config.n_t)
+    z = np.stack([complex_gaussian(rng_stream(config.seed, 0xA1, *k), shape) for k in keys], axis=1)
+    # (trials * users, steps, n), contiguous as the per-session traces were.
+    raw = ar1_from_innovations(z, bessel_j0(2.0 * math.pi * fdts)).swapaxes(0, 1).copy()
     run = _encode_rows(_unit_rows(raw), codebook, "memoryless", reseed="memoryless")
     shape = (config.trials, config.users, config.window, config.n_t)
-    # (trials, window, users, n), contiguous as the per-trial stacks were.
-    true_steps = raw[:, config.discard :].reshape(shape).swapaxes(1, 2).copy()
-    quantized = run.estimates[:, config.discard - 2 :].reshape(shape).swapaxes(1, 2).copy()
-    return np.array(
-        [_window_mean_rates(t, q, powers, config.users) for t, q in zip(true_steps, quantized)]
+    return tuple(
+        np.ascontiguousarray(rows.reshape(shape).swapaxes(1, 2)).reshape(-1, *shape[1::2])
+        for rows in (raw[:, config.discard :], run.estimates[:, config.discard - 2 :])
     )
 
 
@@ -351,10 +354,11 @@ def run_sumrate_experiment(
         bits = 0 if scheme == "perfect_csi" else config.bits
         for fdts in fdts_values:
             if scheme == "gpc":
-                per_trial = _gpc_rates(config, fdts, codebook, powers)
+                steps = _gpc_steps(config, fdts, codebook)
             else:
-                trial_rates = _perfect_csi_trial if scheme == "perfect_csi" else _memoryless_trial
-                per_trial = np.array([trial_rates(config, t, powers) for t in range(config.trials)])
+                trial = _perfect_csi_trial if scheme == "perfect_csi" else _memoryless_trial
+                steps = map(np.concatenate, zip(*(trial(config, t) for t in range(config.trials))))
+            per_trial = _window_mean_rates(*steps, powers, config.window)
             mean = per_trial.mean(axis=0)
             stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(config.trials)
             for i, snr_db in enumerate(config.snr_db_grid):

@@ -22,7 +22,8 @@ from grasspc import (
     save_trace,
     sequence_correlation,
 )
-from grasspc.channel import ar1_from_innovations
+from grasspc.channel import _ar1_traces, ar1_from_innovations
+from grasspc.cli import _traces
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +138,36 @@ def test_ar1_params_validation():
         Ar1Params(n=4, beta=0.01, steps=2, seed=0)
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: Ar1Params(n=4, beta=0.01, steps=30, seed=1.5), "seed"),
+        (lambda: Ar1Params(n=4.0, beta=0.01, steps=30, seed=1), "n"),
+        (lambda: Ar1Params(n=4, beta=0.01, steps=30.0, seed=1), "steps"),
+        (lambda: Ar2Params(n=3, a1=0.9, a2=0.75, noise_std=0.01, steps=30, seed=2.5), "seed"),
+        (lambda: Ar2Params(n=3.0, a1=0.9, a2=0.75, noise_std=0.01, steps=30, seed=2), "n"),
+        (lambda: Ar2Params(n=3, a1=0.9, a2=0.75, noise_std=0.01, steps="30", seed=2), "steps"),
+        (lambda: rng_stream(1.5), "seed"),
+        (lambda: rng_stream(1, 0x50, 2.0), "key"),
+    ],
+)
+def test_non_integer_counts_and_seeds_are_rejected(make, name):
+    # A float seed was truncated (seed 1.5 gave seed 1's trace); a float
+    # count failed later with a TypeError, or not at all.
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        make()
+
+
+def test_numpy_integer_counts_and_seeds_are_stored_as_ints():
+    p = Ar1Params(n=np.int64(4), beta=0.01, steps=np.uint16(30), seed=np.uint64(2**63 + 5))
+    assert (type(p.n), type(p.steps), type(p.seed)) == (int, int, int)
+    assert p.seed == 2**63 + 5
+    q = Ar1Params(n=4, beta=0.01, steps=30, seed=2**63 + 5)
+    assert gen_ar1(p).raw.tobytes() == gen_ar1(q).raw.tobytes()
+    a = rng_stream(np.uint64(7), np.int32(3)).standard_normal(4)
+    assert a.tobytes() == rng_stream(7, 3).standard_normal(4).tobytes()
+
+
 def test_ar1_alpha_is_bessel_of_doppler():
     p = Ar1Params(n=4, beta=0.02, steps=10, seed=0)
     assert abs(p.alpha - bessel_j0(2 * np.pi * 0.02)) < 1e-15
@@ -165,6 +196,30 @@ def test_gen_ar1_shape_norms_and_determinism():
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     assert len(t1) == 50 and t1.n == 4
     assert len(t1.points) == 50
+
+
+def one_trace_reference(params, seed):
+    """(raw, normalized) of one AR(1) trace, generated on its own: one
+    recursion over one trace's innovations, normalized row by row."""
+    z = complex_gaussian(rng_stream(seed), (params.steps, params.n))
+    h = ar1_from_innovations(z, params.alpha)
+    return h, h / np.linalg.norm(h, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "n, beta, steps, count", [(4, 0.01, 500, 7), (2, 0.04, 3, 3), (5, 0.0, 40, 2), (3, 0.3, 60, 1)]
+)
+def test_stacked_ar1_traces_match_traces_generated_alone(n, beta, steps, count):
+    params = Ar1Params(n=n, beta=beta, steps=steps, seed=0)
+    seeds = [int(rng_stream(9, 0x5E, k).integers(0, 2**63)) for k in range(count)]
+    stacked = _ar1_traces(params, seeds)
+    through_cli = _traces(params, 9, 0x5E, count)
+    for seed, trace, cli_trace in zip(seeds, stacked, through_cli, strict=True):
+        raw, normalized = one_trace_reference(params, seed)
+        alone = gen_ar1(Ar1Params(n=n, beta=beta, steps=steps, seed=seed))
+        for t in (trace, cli_trace, alone):
+            assert t.raw.tobytes() == raw.tobytes()
+            assert t.normalized.tobytes() == normalized.tobytes()
 
 
 def test_gen_ar1_lag_one_correlation_matches_alpha():

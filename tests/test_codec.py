@@ -5,10 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grasspc import (
     PROJECTION_COLLAPSE_TOL,
@@ -18,6 +21,7 @@ from grasspc import (
     Ar2Params,
     CodewordIndex,
     CutLocusError,
+    DirectionCodebook,
     EncodeResult,
     GpcState,
     GrassmannPoint,
@@ -44,7 +48,7 @@ from grasspc import (
     write_index_stream,
 )
 from grasspc import codec
-from grasspc.codec import _along, _Book, _pick_free
+from grasspc.codec import _along, _Book, _pick, _pick_free
 from grasspc.geometry import _chord_cols, _cols, _inner, _row
 
 
@@ -875,6 +879,119 @@ def test_batched_sessions_match_sessions_alone(monkeypatch, chunk):
 
 def state_points_rows(state):
     return [p.coords for p in state_points(state)]
+
+
+def unit_rows(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def search_case(seed, sessions, n, n_d, n_m):
+    """A random codebook and ``sessions`` (prediction, observation) rows.
+    Session 0 observes its own prediction (a zero error tangent).  Codeword 0
+    is e_0 and session 1 predicts a unit multiple of it, so that codeword's
+    projection onto the tangent space there collapses exactly."""
+    rng = np.random.default_rng(seed)
+    gauss = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # noqa: E731
+    words = unit_rows(gauss(n_d, n))
+    words[0] = np.eye(n)[0]
+    cb = ShapeGainCodebook(DirectionCodebook(words), uniform_magnitude(n_m, 0.0, 1.2))
+    predicted = unit_rows(gauss(sessions, n))
+    spread = 10.0 ** rng.uniform(-7.0, 0.5, (sessions, 1))
+    observed = unit_rows(predicted + spread * gauss(sessions, n))
+    observed[0] = predicted[0]
+    if sessions > 1:
+        predicted[1] = rng.choice([1.0, -1.0, 1j, -1j]) * words[0]
+    return cb, predicted, observed
+
+
+def batch_columns(rows):
+    return rows.real.T.copy(), rows.imag.T.copy()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    sessions=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3, 4]),
+    n_d=st.sampled_from([2, 8, 64]),
+    n_m=st.sampled_from([1, 4, 8]),
+    chunk=st.integers(1, 300),
+)
+@example(sessions=300, seed=1, n=4, n_d=64, n_m=8, chunk=256)
+@example(sessions=2, seed=2, n=3, n_d=8, n_m=4, chunk=1)
+def test_batched_search_matches_sessions_alone(sessions, seed, n, n_d, n_m, chunk):
+    cb, predicted, observed = search_case(seed, sessions, n, n_d, n_m)
+    book = _Book(cb)
+    alone = []
+    for p_row, o_row in zip(predicted, observed):
+        p, o = _cols(p_row), _cols(o_row)
+        rho = _inner(*p, *o)
+        chord = _chord_cols(*p, *o, rho)
+        alone.append((*_pick(book, p, o, rho, chord), *_pick_free(book, p, o, rho, chord)))
+    d, m, free_d, cos, sin = (np.array(column) for column in zip(*alone))
+    assert (d[0], m[0]) == (0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a masked sqrt or division must not warn
+        # One book at two batch widths: its workspace follows the width.
+        for width in (sessions, max(1, sessions // 3)):
+            p, o = batch_columns(predicted[:width]), batch_columns(observed[:width])
+            rho = _inner(*p, *o)
+            chord = _chord_cols(*p, *o, rho)
+            if width > 1:
+                assert not np.array(codec._projections(book, p, o, rho))[:, 0, 1].any()  # collapsed
+            batch_d, batch_m = _pick(book, p, o, rho, chord)
+            assert batch_d.tolist() == d[:width].tolist()
+            assert batch_m.tolist() == m[:width].tolist()
+            batch_free = _pick_free(book, p, o, rho, chord)
+            assert batch_free[0].tolist() == free_d[:width].tolist()
+            assert batch_free[1].tobytes() == cos[:width].tobytes()
+            assert batch_free[2].tobytes() == sin[:width].tobytes()
+    # The whole encoder over short traces, split into chunks of ``chunk``
+    # sessions; session 0's trace stands still.
+    steps = np.arange(5)[None, :, None]
+    rows = unit_rows(predicted[:, None] + 0.05 * steps * (observed - predicted)[:, None])
+    rows[0] = predicted[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_CHUNK", chunk)
+        for free_magnitude in (False, True):
+            batch = codec._encode_rows(rows, cb, "exact", free_magnitude, "exact")
+            for b in range(sessions):
+                one = codec._encode_rows(rows[b : b + 1], cb, "exact", free_magnitude, "exact")
+                for field, got in zip(one, batch):
+                    if isinstance(field, np.ndarray):
+                        assert got[b].tobytes() == field[0].tobytes()
+
+
+FAULTS = """
+import resource
+import numpy as np
+from grasspc import Ar1Params, ShapeGainCodebook, best_packing, gen_ar1, uniform_magnitude
+from grasspc import codec
+cb = ShapeGainCodebook(best_packing(4, 64), uniform_magnitude(8))
+rows = np.array([gen_ar1(Ar1Params(n=4, beta=0.04, steps=62, seed=s)).normalized for s in range(160)])
+codec._encode_rows(rows, cb, "memoryless", reseed="memoryless")  # warm up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run = codec._encode_rows(rows, cb, "memoryless", reseed="memoryless")
+assert run.pairs.shape == (160, 60, 2)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts as Linux reports them")
+def test_batched_encode_does_not_page_fault_per_step():
+    # The batched search computes into a workspace made once per call.  Were
+    # its multi-megabyte temporaries allocated every step, the allocator
+    # would hand them back to the kernel each time: hundreds of minor faults
+    # per step at this width.  A fresh interpreter measures it, since the
+    # allocator's thresholds adapt to whatever else this one has run.
+    pytest.importorskip("resource")
+    src = str(Path(codec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", FAULTS], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 4000
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
+from grasspc import mumimo
 from grasspc import (
     Beamformers,
     CompositeChannel,
@@ -97,6 +98,58 @@ def test_zf_rank_deficient_raises():
         zf_beamformers(CompositeChannel(stack))
 
 
+# Test-local references: the zero-forcing columns from np.linalg.pinv, and
+# the window mean of one trial at a time.  The stacked code must give the
+# same bits.
+
+
+def zf_columns_reference(h):
+    pinv = np.linalg.pinv(h.conj())
+    return pinv / np.linalg.norm(pinv, axis=-2, keepdims=True)
+
+
+def window_mean_reference(true_steps, quantized_steps, powers_per_user):
+    a, signal, interference = mumimo._sinr_terms(true_steps, zf_columns_reference(quantized_steps))
+    pa = powers_per_user[:, None] * a[:, None]
+    sinr = pa * signal[:, None] / (1.0 + pa * interference[:, None])
+    totals = np.zeros(len(powers_per_user))
+    for rates in np.log2(1.0 + sinr).sum(axis=2):
+        totals += rates
+    return totals / len(true_steps)
+
+
+@pytest.mark.parametrize("users", [1, 3, 4])
+def test_zf_columns_match_normalized_pinv_bit_for_bit(users):
+    h = complex_gaussian(rng_stream(11, users), (200, users, 4))
+    columns = mumimo._zf_columns(h)
+    assert columns.tobytes() == zf_columns_reference(h).tobytes()
+    single = zf_beamformers(CompositeChannel(h[7])).columns
+    assert single.tobytes() == zf_columns_reference(h[7]).tobytes()
+
+
+def test_zf_columns_rank_deficient_stack_raises():
+    h = complex_gaussian(rng_stream(12), (30, 3, 4))
+    h[17, 2] = 2.0 * h[17, 0]
+    with pytest.raises(RankDeficientError, match="smallest singular value"):
+        mumimo._zf_columns(h)
+
+
+@pytest.mark.parametrize("users", [1, 3, 4])
+def test_stacked_window_means_match_the_per_trial_loop(users):
+    trials, window = 9, 13
+    rng = rng_stream(13, users)
+    true = complex_gaussian(rng, (trials * window, users, 4))
+    quantized = true + 0.1 * complex_gaussian(rng, true.shape)
+    powers = np.array([10.0 ** (s / 10.0) / users for s in (0.0, 7.0, 30.0)])
+    stacked = mumimo._window_mean_rates(true, quantized, powers, window)
+    assert stacked.shape == (trials, 3)
+    per_trial = [
+        window_mean_reference(true[k * window : (k + 1) * window], quantized[k * window : (k + 1) * window], powers)
+        for k in range(trials)
+    ]
+    assert stacked.tobytes() == np.array(per_trial).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # SINR and rate
 
@@ -180,6 +233,20 @@ def test_sumrate_config_validation():
     with pytest.raises(ValueError, match="steps"):
         SumRateConfig(steps=20, discard=20)
     assert SumRateConfig().window == 40
+
+
+@pytest.mark.parametrize(
+    "field, value", [("trials", 3.5), ("users", 2.0), ("bits", 5.5), ("steps", 60.0), ("seed", 1.5)]
+)
+def test_sumrate_config_rejects_non_integer_fields(field, value):
+    # These were accepted and failed deep in the run with a TypeError.
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SumRateConfig(**{field: value})
+
+
+def test_sumrate_config_stores_numpy_integers_as_ints():
+    config = SumRateConfig(users=np.int64(3), trials=np.uint8(5), seed=np.uint64(2**64 - 1))
+    assert (type(config.users), type(config.trials), type(config.seed)) == (int, int, int)
 
 
 def test_default_gpc_codebook_split():
