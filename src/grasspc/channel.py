@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import GrassmannPoint
+from .geometry import GrassmannPoint, _cols, _sqnorm
 
 __all__ = [
     "Ar1Params",
@@ -210,10 +210,13 @@ class ChannelTrace:
 
 
 def _normalize_rows(h: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(h, axis=1, keepdims=True)
+    """Complex rows (..., n) over their norms.  The norms sum left to right,
+    so no SIMD loop changes them; the division is numpy's complex one, whose
+    bits real division (as in ``geometry._unit_rows``) would not keep."""
+    norms = np.sqrt(_sqnorm(np.moveaxis(h.real, -1, 0), np.moveaxis(h.imag, -1, 0)))
     if np.any(norms == 0.0):
         raise ArithmeticError("degenerate all-zero channel vector in trace")
-    return h / norms
+    return h / norms[..., None]
 
 
 def ar1_from_innovations(z: np.ndarray, alpha: float) -> np.ndarray:
@@ -238,13 +241,14 @@ def gen_ar1(params: Ar1Params) -> ChannelTrace:
 
 def _ar1_traces(params: Ar1Params, seeds) -> list[ChannelTrace]:
     """The traces of ``params`` at ``seeds`` (not its own seed), from one
-    recursion over the stacked innovations.  It is elementwise with a real
-    coefficient and each trace is normalized from its own contiguous rows,
-    so every trace has the bits it has when its seed is generated alone."""
+    recursion over the stacked innovations, normalized in one call.  Both are
+    elementwise (the normalization row by row), so every trace has the bits
+    it has when its seed is generated alone."""
     shape = (params.steps, params.n)
     z = np.stack([complex_gaussian(rng_stream(seed), shape) for seed in seeds], axis=1)
     raws = ar1_from_innovations(z, params.alpha).swapaxes(0, 1).copy()
-    return [ChannelTrace(raw=raw, normalized=_normalize_rows(raw)) for raw in raws]
+    units = _normalize_rows(raws)
+    return [ChannelTrace(raw=raw, normalized=unit) for raw, unit in zip(raws, units)]
 
 
 def gen_ar2(params: Ar2Params) -> ChannelTrace:
@@ -260,14 +264,13 @@ def gen_ar2(params: Ar2Params) -> ChannelTrace:
     raw = np.empty_like(z)
     normalized = np.empty_like(z)
     raw[0], raw[1] = z[0], z[1]
-    normalized[0] = z[0] / np.linalg.norm(z[0])
-    normalized[1] = z[1] / np.linalg.norm(z[1])
+    normalized[:2] = _normalize_rows(z[:2])
     s2, s1 = z[0], z[1]  # rescaled (h[k-2], h[k-1]) sharing the scale e^L
     log_scale = 0.0
     for k in range(2, params.steps):
         noise_gain = np.exp(-log_scale) if log_scale < _LOG_CLAMP else 0.0
         u = params.a1 * s1 + params.a2 * s2 + (params.noise_std * noise_gain) * z[k]
-        c = np.linalg.norm(u)
+        c = math.sqrt(_sqnorm(*_cols(u)))
         if c == 0.0:
             raise ArithmeticError(f"AR(2) state collapsed to zero at step {k}")
         raw[k] = u * np.exp(min(log_scale, _LOG_CLAMP))

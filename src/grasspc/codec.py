@@ -23,19 +23,22 @@ or complex ufunc multiply.  So, byte for byte:
 * a session's indices, estimates, errors and re-inits are the same alone or
   in a batch of any size, and whatever chunk a batch is split into;
 * the decoder replays the encoder's estimates from the initial state and
-  the index stream under any OpenBLAS kernel and any numpy SIMD dispatch.
+  the index stream under any OpenBLAS kernel and any numpy SIMD dispatch;
+* the quickstart ``gen-trace``, ``distortion``, ``gains``, ``mse`` and
+  ``sumrate`` CSV data rows do not change with either: the public geometry
+  and the harvests run the same helpers, and traces are normalized by
+  fixed-order norms (a test pins their hashes).
 
-Still allowed to vary: the BLAS scores of ``codebooks._nearest``, which pick
-memoryless indices and the seed codewords of memoryless initialization (and
-so could differ only at near-ties); for a ``best_packing`` key that is
-searched, its Philox normals and its near-ties (the keys the configs build
-load shipped constants, and depend on neither); libm's ``cos``/``sin`` of
-the magnitude levels, taken once per codebook (the direction-only search
-needs no libm: half-angle formulas give its arcs); the traces themselves
-(their Philox normals across numpy versions, and numpy's norms in their
-normalization); and the BLAS dot products of the public
-``chordal_distance``, ``log_map`` and ``parallel_transport``, which the
-training harvests use for their tangents but the update never calls.
+Still allowed to vary: ``train``'s codebook (its Lloyd direction step scores
+with BLAS and takes ``eigh``'s eigenvectors); the BLAS scores of
+``codebooks._nearest``, which pick memoryless indices and the seed codewords
+of memoryless initialization (and so could differ only at near-ties); for a
+``best_packing`` key that is searched, its Philox normals and its near-ties
+(the keys the configs build load shipped constants, and depend on neither);
+libm's ``cos``/``sin`` of the magnitude levels, taken once per codebook (the
+direction-only search needs no libm: half-angle formulas give its arcs) and
+its ``atan`` of the harvests' arc lengths; and the traces' Philox normals
+across numpy versions.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .geometry import (
     _chord_cols,
     _cols,
     _csum,
+    _direction,
     _geodesic_cols,
     _inner,
     _predict_cols,
@@ -383,17 +387,6 @@ def _pick_free(book: _Book, predicted, observed, rho, chord):
     if type(chord) is float:
         return int(d[0]), cos[0], sin[0]
     return d, np.array(cos), np.array(sin)
-
-
-def _direction(predicted, codeword):
-    """The codeword projected onto the tangent space at the prediction,
-    c - (p^H c) p, and its norm."""
-    pr, pi = predicted
-    cr, ci = codeword
-    ur, ui = _inner(pr, pi, cr, ci)
-    wr = [x - (ur * a - ui * b) for x, a, b in zip(cr, pr, pi)]
-    wi = [y - (ur * b + ui * a) for y, a, b in zip(ci, pr, pi)]
-    return wr, wi, _sqrt(_sqnorm(wr, wi))
 
 
 def _along(book: _Book, predicted, d, cos, sin):

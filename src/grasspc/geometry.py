@@ -75,26 +75,17 @@ class CutLocusError(ArithmeticError):
         )
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a complex vector, bit-identical to ``np.linalg.norm``.
-
-    Same arithmetic as numpy's 1-D fast path without its per-call dispatch,
-    which dominates the cost for the short vectors handled here.
-    """
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
 # ---------------------------------------------------------------------------
 # Fixed-order column arithmetic
 #
-# The codec's synchronized update runs on points held as real and imaginary
-# columns: a point is a pair (re, im) of n-long sequences whose entries are
-# Python floats for one session, or (B,) float64 arrays for B sessions at
-# once.  These helpers use only elementwise + - * / and sqrt and sum over the
-# n coordinates strictly left to right.  IEEE 754 rounds each such operation
-# correctly, so a session gets the same bits alone or in a batch of any size,
-# and under any BLAS library or SIMD dispatch.
+# Every operation of this module, and the codec's synchronized update, runs
+# on points held as real and imaginary columns: a point is a pair (re, im) of
+# n-long sequences whose entries are Python floats for one point, or (B,)
+# float64 arrays for B points at once.  These helpers use only elementwise
+# + - * / and sqrt and sum over the n coordinates strictly left to right.
+# IEEE 754 rounds each such operation correctly, so a point gets the same bits
+# alone or in a batch of any size, and under any BLAS library or SIMD
+# dispatch.  Only arc lengths take libm's atan.
 
 
 def _sqrt(x):
@@ -160,6 +151,26 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _offset(xr, xi, yr, yi, rr, ri, aa):
+    """y rho^* / aa - x over columns, for rho = (rr, ri): with aa = |rho|^2
+    it is y / rho - x."""
+    return (
+        [(c * rr + d * ri) / aa - a for a, c, d in zip(xr, yr, yi)],
+        [(d * rr - c * ri) / aa - b for b, c, d in zip(xi, yr, yi)],
+    )
+
+
+def _direction(base, v):
+    """v projected onto the tangent space at ``base``, v - (base^H v) base,
+    and its norm, over columns."""
+    pr, pi = base
+    cr, ci = v
+    ur, ui = _inner(pr, pi, cr, ci)
+    wr = [x - (ur * a - ui * b) for x, a, b in zip(cr, pr, pi)]
+    wi = [y - (ur * b + ui * a) for y, a, b in zip(ci, pr, pi)]
+    return wr, wi, _sqrt(_sqnorm(wr, wi))
+
+
 def _chord_cols(xr, xi, yr, yi, rho):
     """Chordal distance over columns, given rho = x^H y as (re, im).
 
@@ -179,10 +190,7 @@ def _chord_cols(xr, xi, yr, yi, rho):
         if not near.any():
             return np.sqrt(v)
         aa = np.where(near, aa, 1.0)
-    # y / rho = y rho^* / |rho|^2
-    wr = [(c * rr + d * ri) / aa - a for a, c, d in zip(xr, yr, yi)]
-    wi = [(d * rr - c * ri) / aa - b for b, c, d in zip(xi, yr, yi)]
-    close = _sqrt(aa) * _sqrt(_sqnorm(wr, wi))
+    close = _sqrt(aa) * _sqrt(_sqnorm(*_offset(xr, xi, yr, yi, rr, ri, aa)))
     return close if type(aa) is float else np.where(near, close, np.sqrt(v))
 
 
@@ -265,7 +273,7 @@ class GrassmannPoint:
     def from_vector(cls, values) -> "GrassmannPoint":
         """Normalize an arbitrary nonzero vector onto the manifold."""
         arr = _as_vector(values, "vector")
-        nrm = _norm(arr)
+        nrm = math.sqrt(_sqnorm(*_cols(arr)))
         _check_finite(arr, nrm, "vector")
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero vector")
@@ -332,8 +340,8 @@ class TangentVector:
         """Adopt a tangent computed in this module, unchecked.
 
         ``magnitude`` is an arctan of a non-negative ratio and ``direction``
-        comes fresh from ``_orthonormal_direction`` (or is all zeros with a
-        zero magnitude), so both meet the invariants by construction.
+        comes fresh from ``_unit_tangent`` (or is all zeros with a zero
+        magnitude), so both meet the invariants by construction.
         """
         direction.flags.writeable = False
         tangent = object.__new__(cls)
@@ -369,55 +377,50 @@ def _check_pair(x: GrassmannPoint, y: GrassmannPoint):
         raise DimensionMismatchError(f"points have n = {x.n} and n = {y.n}")
 
 
-def _chord_from_coords(xc: np.ndarray, yc: np.ndarray) -> float:
-    rho = np.vdot(xc, yc)
-    a = abs(rho)
-    v = 1.0 - min(a * a, 1.0)
-    if v > 1e-8 or a == 0.0:
-        return float(np.sqrt(max(v, 0.0)))
-    # Nearly coincident lines: 1 - |rho|^2 cancels catastrophically and has a
-    # ~sqrt(eps) noise floor, but d = |rho| * ||y/rho - x|| is exact in the
-    # same regime, keeping small distances accurate to ~1e-15.
-    return float(a * _norm(yc / rho - xc))
+def inner_decomposition(x: GrassmannPoint, y: GrassmannPoint) -> InnerProductDecomposition:
+    """Inner product rho together with the chord and angle it induces."""
+    _check_pair(x, y)
+    xc, yc = _cols(x.coords), _cols(y.coords)
+    rr, ri = _inner(*xc, *yc)
+    chord = _chord_cols(*xc, *yc, (rr, ri))
+    # atan2 keeps the angle as accurate as the chord for nearly coincident lines.
+    angle = math.atan2(chord, math.sqrt(rr * rr + ri * ri))
+    return InnerProductDecomposition(rho=complex(rr, ri), chord=chord, angle=angle)
 
 
 def chordal_distance(x: GrassmannPoint, y: GrassmannPoint) -> float:
     """Chordal distance sqrt(1 - |x^H y|^2), phase invariant, in [0, 1]."""
-    _check_pair(x, y)
-    return _chord_from_coords(x.coords, y.coords)
+    return inner_decomposition(x, y).chord
 
 
-def inner_decomposition(x: GrassmannPoint, y: GrassmannPoint) -> InnerProductDecomposition:
-    """Inner product rho together with the chord and angle it induces."""
-    _check_pair(x, y)
-    rho = complex(np.vdot(x.coords, y.coords))
-    chord = _chord_from_coords(x.coords, y.coords)
-    # arctan2 keeps the angle as accurate as the chord for nearly coincident lines.
-    return InnerProductDecomposition(rho=rho, chord=chord, angle=math.atan2(chord, abs(rho)))
+def _connect(x: np.ndarray, y: np.ndarray):
+    """Columns of rows x, y and re, im, |.|^2, |.| of x^H y, off the cut locus."""
+    xc, yc = _cols(x), _cols(y)
+    rr, ri = _inner(*xc, *yc)
+    a = math.sqrt(rr * rr + ri * ri)
+    if a <= RHO_MIN:
+        raise CutLocusError(a)
+    return xc, yc, rr, ri, rr * rr + ri * ri, a
 
 
-def _orthonormal_direction(raw: np.ndarray, base: np.ndarray) -> np.ndarray:
-    # Explicitly re-project against the base: for nearly coincident points the
-    # raw difference vector is produced by catastrophic cancellation and its
-    # residual component along the base can exceed ORTHOGONALITY_TOL.
-    unit = raw / _norm(raw)
-    unit = unit - base * np.vdot(base, unit)
-    return unit / _norm(unit)
+def _unit_tangent(base, v) -> np.ndarray:
+    """The unit tangent at ``base`` along v, as a row.  v is re-projected:
+    for nearly coincident points it comes from catastrophic cancellation, and
+    its residual along the base can exceed ORTHOGONALITY_TOL."""
+    wr, wi, wn = _direction(base, v)
+    return _row([x / wn for x in wr], [y / wn for y in wi])
 
 
 def _log_coords(base: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """(magnitude, unit direction) of :func:`log_map` on plain rows."""
-    rho = np.vdot(base, target)
-    a = abs(rho)
-    if a <= RHO_MIN:
-        raise CutLocusError(a)
-    w = target / rho - base
-    wn = _norm(w)
+    bc, tc, rr, ri, aa, a = _connect(base, target)
+    w = _offset(*bc, *tc, rr, ri, aa)
+    wn = math.sqrt(_sqnorm(*w))
     # ||w|| = d / |rho| exactly, so d = |rho| ||w|| and the arc length is
     # arctan(||w||); both stay fully accurate for nearly coincident pairs.
     if a * wn < ZERO_TANGENT_TOL:
         return 0.0, np.zeros_like(base)
-    return float(np.arctan(wn)), _orthonormal_direction(w, base)
+    return math.atan(wn), _unit_tangent(bc, w)
 
 
 def log_map(base: GrassmannPoint, target: GrassmannPoint) -> TangentVector:
@@ -466,17 +469,13 @@ def parallel_transport(x1: GrassmannPoint, x2: GrassmannPoint) -> TangentVector:
         e_hat = arctan(d / |rho|) * (x2 rho^* - x1) / d.
     """
     _check_pair(x1, x2)
-    rho = np.vdot(x1.coords, x2.coords)
-    a = abs(rho)
-    if a <= RHO_MIN:
-        raise CutLocusError(a)
-    u = x2.coords * np.conj(rho) - x1.coords
-    un = _norm(u)
+    xc, yc, rr, ri, _, a = _connect(x1.coords, x2.coords)
+    u = _offset(*xc, *yc, rr, ri, 1.0)
+    un = math.sqrt(_sqnorm(*u))
     # ||u|| = d exactly; the ratio keeps precision for small separations.
     if un < ZERO_TANGENT_TOL:
         return TangentVector.zero(x2)
-    magnitude = float(np.arctan(un / a))
-    return TangentVector._wrap(x2, magnitude, _orthonormal_direction(u, x2.coords))
+    return TangentVector._wrap(x2, math.atan(un / a), _unit_tangent(yc, u))
 
 
 def _predict_coords(x_prev: np.ndarray, x_curr: np.ndarray) -> np.ndarray:
@@ -523,4 +522,4 @@ def random_point(n: int, rng: np.random.Generator) -> GrassmannPoint:
     """Draw a point uniformly (Haar) on G(n, 1)."""
     v = _as_vector(rng.standard_normal(n) + 1j * rng.standard_normal(n), "vector")
     # A Gaussian draw is finite and of moderate norm: v / ||v|| is unit to rounding.
-    return GrassmannPoint._wrap(v / _norm(v))
+    return GrassmannPoint._wrap(v / math.sqrt(_sqnorm(*_cols(v))))

@@ -1,5 +1,6 @@
 """Unit tests for the temporally correlated channel models and trace I/O."""
 
+import math
 import os
 import subprocess
 import sys
@@ -200,10 +201,18 @@ def test_gen_ar1_shape_norms_and_determinism():
 
 def one_trace_reference(params, seed):
     """(raw, normalized) of one AR(1) trace, generated on its own: one
-    recursion over one trace's innovations, normalized row by row."""
+    recursion over one trace's innovations, normalized row by row, each row
+    divided (as a complex number) by the root of |h_0|^2 + |h_1|^2 + ...
+    summed left to right."""
     z = complex_gaussian(rng_stream(seed), (params.steps, params.n))
     h = ar1_from_innovations(z, params.alpha)
-    return h, h / np.linalg.norm(h, axis=1, keepdims=True)
+    normalized = np.empty_like(h)
+    for k, row in enumerate(h.tolist()):
+        total = 0.0
+        for v in row:
+            total += v.real * v.real + v.imag * v.imag
+        normalized[k] = h[k] / complex(math.sqrt(total))
+    return h, normalized
 
 
 @pytest.mark.parametrize(

@@ -2,16 +2,22 @@
 
 Each test invokes :func:`grasspc.cli.main` in-process with an INI config
 written to a temporary directory, then checks the exit code, the console
-text, and the artifact written to ``--out``.
+text, and the artifact written to ``--out``; the portable-output test runs
+the quickstart commands in subprocesses under other BLAS and SIMD kernels.
 """
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_codec import numpy_blas, numpy_dispatch
 
+import grasspc
 from grasspc.channel import load_trace
 from grasspc.cli import _SCHEMAS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _parser_for, main
 from grasspc.codebooks import load_codebook
@@ -383,3 +389,64 @@ def test_sumrate_experiment_builds_no_checked_objects(checked_constructions):
     )
     assert len(run_sumrate_experiment(config)) == 3
     assert checked_constructions == {"points": 0, "tangents": 0}
+
+
+# ---------------------------------------------------------------------------
+# Portable quickstart outputs
+
+# SHA-256 of the data rows (the lines not starting with "#") each command
+# writes from configs/quickstart.ini at seed 0.  ``train`` is left out: its
+# Lloyd direction step still scores with BLAS products and takes ``eigh``'s
+# eigenvectors, so its codebook may differ between BLAS kernels.
+QUICKSTART_ROWS_SHA256 = {
+    "gen-trace": "9bc3cd7685199c7069dcb67f3e758930b582fe69492b23beccba502ad306e8c8",
+    "distortion": "859947b61a51b0ad4d2e30213ef77167b6b5567cafa2827f7816dfccfdfc0c69",
+    "gains": "af27aa45d44964de25a0fdaa431a50622a74904a3b96a508573d962faac2b39a",
+    "mse": "d16c7faf5c18d0a1cb23a58cebd9bed93e5f5e4758f26d761c7c067b09452d2e",
+    "sumrate": "256cac4d90f9402f52c13bce22f67d0b87dbd0b395fff1ca9ad5a17d2a210ddb",
+}
+
+QUICKSTART = """
+import sys
+from grasspc.cli import main
+config, out = sys.argv[1], sys.argv[2]
+for command in sys.argv[3:]:
+    if main([command, "--config", config, "--seed", "0", "--out", f"{out}/{command}"]):
+        sys.exit(f"{command} failed")
+"""
+
+
+@pytest.mark.parametrize(
+    "variable, value",
+    [(None, None), ("OPENBLAS_CORETYPE", "Haswell"), ("NPY_DISABLE_CPU_FEATURES", "all")],
+    ids=["default", "blas-Haswell", "numpy-baseline-simd"],
+)
+def test_quickstart_rows_are_pinned_under_other_kernels(tmp_path, variable, value):
+    # Traces are normalized by fixed-order norms and every geometry operation
+    # runs the codec's fixed-order arithmetic, so the quickstart rows must not
+    # depend on the OpenBLAS kernel or on numpy's SIMD dispatch.  The Haswell
+    # case proves nothing where numpy does not use OpenBLAS, so it is skipped
+    # there.
+    if variable == "OPENBLAS_CORETYPE" and "openblas" not in numpy_blas().lower():
+        pytest.skip(
+            "OPENBLAS_CORETYPE picks a BLAS kernel only in OpenBLAS; this numpy uses "
+            f"{numpy_blas() or 'an unknown BLAS'}, so the case would prove nothing"
+        )
+    if value == "all":
+        value = numpy_dispatch()
+        if not value:
+            pytest.skip("this numpy reports no dispatched SIMD features to disable")
+    env = dict(os.environ, **({variable: value} if variable else {}))
+    src = str(Path(grasspc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    config = Path(__file__).resolve().parents[1] / "configs" / "quickstart.ini"
+    commands = sorted(QUICKSTART_ROWS_SHA256)
+    result = subprocess.run(
+        [sys.executable, "-c", QUICKSTART, str(config), str(tmp_path), *commands],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    for command in commands:
+        lines = (tmp_path / command).read_bytes().splitlines(keepends=True)
+        rows = b"".join(line for line in lines if not line.startswith(b"#"))
+        assert hashlib.sha256(rows).hexdigest() == QUICKSTART_ROWS_SHA256[command], command

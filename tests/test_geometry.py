@@ -1,8 +1,13 @@
 """Unit tests for the manifold primitives: distances, log/exp maps,
 parallel transport, prediction, and their exact identities."""
 
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasspc import (
     CutLocusError,
@@ -19,7 +24,8 @@ from grasspc import (
     rng_stream,
     sequence_correlation,
 )
-from grasspc.geometry import PHASE_EQ_TOL, RHO_MIN
+from grasspc.codebooks import _harvest_open_rows
+from grasspc.geometry import PHASE_EQ_TOL, RHO_MIN, _chord_cols, _cols, _inner
 
 
 def basis(n, k):
@@ -159,9 +165,35 @@ def test_inner_decomposition_identity():
         assert 0.0 <= dec.angle <= np.pi / 2
 
 
+def exact_angle(x, y) -> float:
+    """The principal angle between the lines through the float vectors x and
+    y exactly as stored (neither assumed unit norm): sin^2 in rationals, then
+    arcsin's series in 50-digit decimals.  For angles below ~1e-3."""
+    xs = [(Fraction(v.real), Fraction(v.imag)) for v in x.tolist()]
+    ys = [(Fraction(v.real), Fraction(v.imag)) for v in y.tolist()]
+    rr = sum(a * c + b * d for (a, b), (c, d) in zip(xs, ys))
+    ri = sum(a * d - b * c for (a, b), (c, d) in zip(xs, ys))
+    xx = sum(a * a + b * b for a, b in xs)
+    yy = sum(c * c + d * d for c, d in ys)
+    sin2 = 1 - (rr * rr + ri * ri) / (xx * yy)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        s = (Decimal(sin2.numerator) / Decimal(sin2.denominator)).sqrt()
+        # arcsin s = sum_k (2k)! / (4^k (k!)^2 (2k + 1)) s^(2k + 1)
+        angle, term, k = Decimal(0), s, 0
+        while term > s * Decimal("1e-45"):
+            angle += term / (2 * k + 1)
+            k += 1
+            term = term * s * s * (2 * k - 1) / (2 * k)
+        return float(angle)
+
+
 def test_inner_decomposition_accurate_for_nearly_coincident_lines():
     # The chord is chordal_distance's, not 1 - |rho|^2, which cancels to 0
-    # below ~1e-8; the angle follows it instead of arccos |rho|.
+    # below ~1e-8; the angle follows it instead of arccos |rho|.  The reference
+    # is the exact angle of the pair as built: rounding the unit inputs moves
+    # it by up to 2^-53 from the nominal separation (1.9e-6 relative at
+    # 1e-11 for n = 2), so that term is allowed on top of 1e-6 relative.
     rng = rng_stream(6)
     for n in (2, 4):
         x, d = correlated_pair(n, rng)
@@ -174,7 +206,8 @@ def test_inner_decomposition_accurate_for_nearly_coincident_lines():
             assert dec.chord == chordal_distance(x, y)
             magnitude = log_map(x, y).magnitude
             assert abs(dec.angle - magnitude) <= 1e-12 * magnitude
-            assert abs(dec.angle - separation) <= 1e-6 * separation
+            exact = exact_angle(x.coords, y.coords)
+            assert abs(dec.angle - exact) <= 1e-6 * exact + 2.0**-53
 
 
 # ---------------------------------------------------------------------------
@@ -417,3 +450,70 @@ def test_operation_outputs_pass_the_constructor_checks():
                 rebuilt = TangentVector(e.base, e.magnitude, e.direction)
                 assert rebuilt.magnitude == e.magnitude
                 assert np.array_equal(rebuilt.direction, e.direction)
+
+
+def pair_in_regime(seed, n, regime, shape):
+    """A pair (x, y) drawn from ``seed``: independent Haar points ("random"),
+    a pair at chord 10^-(8.5 + 5.5 shape) ("near"), or one with |rho| a
+    factor 1 + 10^(-6 shape) above RHO_MIN ("cut"); y carries a random
+    phase."""
+    rng = rng_stream(seed)
+    x, t = random_point(n, rng), random_point(n, rng)
+    phase = np.exp(2j * np.pi * rng.random())
+    if regime == "random":
+        return x, GrassmannPoint.from_vector(phase * t.coords)
+    d = GrassmannPoint.from_vector(t.coords - np.vdot(x.coords, t.coords) * x.coords).coords
+    if regime == "near":
+        sep = 10.0 ** -(8.5 + 5.5 * shape)
+        c, s = np.cos(sep), np.sin(sep)
+    else:
+        c = RHO_MIN * (1.0 + 10.0 ** (-6.0 * shape))
+        s = np.sqrt(1.0 - c * c)
+    return x, GrassmannPoint.from_vector(phase * (c * x.coords + s * d))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3, 4, 8]),
+    regime=st.sampled_from(["random", "near", "cut"]),
+    shape=st.floats(0.0, 1.0),
+)
+def test_public_geometry_shares_the_kernel_arithmetic(seed, n, regime, shape):
+    # The public operations, the training harvests and the codec kernel run
+    # one arithmetic, so they agree bit for bit, one pair alone or in a batch.
+    x, y = pair_in_regime(seed, n, regime, shape)
+    xc, yc = _cols(x.coords), _cols(y.coords)
+    rho = _inner(*xc, *yc)
+    chord = chordal_distance(x, y)
+    assert chord == _chord_cols(*xc, *yc, rho)
+    batch = [[np.array([v, v]) for v in column] for column in (*xc, *yc)]
+    assert _chord_cols(*batch, _inner(*batch)).tolist() == [chord, chord]
+    if regime == "near":
+        assert chord < 1e-8
+    dec = inner_decomposition(x, y)
+    assert (dec.rho, dec.chord) == (complex(*rho), chord)
+    assert 0.0 <= dec.angle <= np.pi / 2
+
+    # log_map against the tangent the open-loop harvest records at the same
+    # base: the harvest predicts from (x, x), which lands next to x.
+    base = predict_one_step(x, x)
+    rows = [x.coords, x.coords, y.coords]
+    try:
+        tangent = log_map(base, y)
+    except CutLocusError:
+        assert regime == "cut"
+        with pytest.raises(ValueError, match="straddled the cut locus"):
+            _harvest_open_rows(rows)
+    else:
+        harvested = _harvest_open_rows(rows)
+        assert harvested.magnitudes.tolist() == [tangent.magnitude]
+        assert harvested.directions.tobytes() == tangent.direction.tobytes()
+        TangentVector(base, tangent.magnitude, tangent.direction)
+        GrassmannPoint(exp_map(base, tangent).coords)
+    try:
+        moved = parallel_transport(x, y)
+    except CutLocusError:
+        assert regime == "cut"
+    else:
+        TangentVector(y, moved.magnitude, moved.direction)
