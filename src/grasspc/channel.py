@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import GrassmannPoint, _cols, _sqnorm
+from .geometry import UNIT_NORM_TOL, GrassmannPoint, _cols, _sqnorm
 
 __all__ = [
     "Ar1Params",
@@ -186,11 +186,9 @@ class ChannelTrace:
     def __post_init__(self):
         self.raw = np.asarray(self.raw, dtype=np.complex128)
         self.normalized = np.asarray(self.normalized, dtype=np.complex128)
-        if self.raw.shape != self.normalized.shape or self.raw.ndim != 2:
-            raise ValueError("raw and normalized must share shape (steps, n)")
-        norms = np.linalg.norm(self.normalized, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise ValueError("normalized rows must be unit norm")
+        if self.raw.shape != self.normalized.shape or self.raw.ndim != 2 or self.raw.shape[1] < 2:
+            raise ValueError("raw and normalized must share shape (steps, n >= 2)")
+        _check_unit_rows(self.normalized)
 
     def __len__(self) -> int:
         return self.raw.shape[0]
@@ -201,12 +199,22 @@ class ChannelTrace:
 
     @cached_property
     def points(self) -> tuple[GrassmannPoint, ...]:
-        return tuple(GrassmannPoint(row) for row in self.normalized)
+        # The rows of one checked copy, adopted without a per-point check.
+        rows = _check_unit_rows(self.normalized.copy())
+        return tuple(GrassmannPoint._wrap(row) for row in rows)
 
     @property
     def gains(self) -> np.ndarray:
         """Per-step raw magnitudes ||h[k]||."""
         return np.linalg.norm(self.raw, axis=1)
+
+
+def _check_unit_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows``, if every one is finite and unit norm within ``UNIT_NORM_TOL``."""
+    norms = np.sqrt(_sqnorm(rows.real.T, rows.imag.T))
+    if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
+        raise ValueError("normalized rows must be finite and unit norm")
+    return rows
 
 
 def _normalize_rows(h: np.ndarray) -> np.ndarray:
@@ -236,16 +244,21 @@ def ar1_from_innovations(z: np.ndarray, alpha: float) -> np.ndarray:
 
 def gen_ar1(params: Ar1Params) -> ChannelTrace:
     """Generate a stationary AR(1) trace; same params give identical bits."""
-    return _ar1_traces(params, (params.seed,))[0]
+    return _ar1_traces(params, _innovations(params, (params.seed,)))[0]
 
 
-def _ar1_traces(params: Ar1Params, seeds) -> list[ChannelTrace]:
-    """The traces of ``params`` at ``seeds`` (not its own seed), from one
-    recursion over the stacked innovations, normalized in one call.  Both are
-    elementwise (the normalization row by row), so every trace has the bits
-    it has when its seed is generated alone."""
+def _innovations(params: Ar1Params, seeds) -> np.ndarray:
+    """The CN(0, 1) innovations of ``params``'s traces at ``seeds`` (not its
+    own seed), stacked (steps, len(seeds), n).  They do not depend on beta."""
     shape = (params.steps, params.n)
-    z = np.stack([complex_gaussian(rng_stream(seed), shape) for seed in seeds], axis=1)
+    return np.stack([complex_gaussian(rng_stream(seed), shape) for seed in seeds], axis=1)
+
+
+def _ar1_traces(params: Ar1Params, z: np.ndarray) -> list[ChannelTrace]:
+    """The traces of ``params`` over stacked innovations ``z`` (from
+    :func:`_innovations`), from one recursion, normalized in one call.  Both
+    are elementwise (the normalization row by row), so every trace has the
+    bits it has when its seed is generated alone."""
     raws = ar1_from_innovations(z, params.alpha).swapaxes(0, 1).copy()
     units = _normalize_rows(raws)
     return [ChannelTrace(raw=raw, normalized=unit) for raw, unit in zip(raws, units)]

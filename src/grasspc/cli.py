@@ -35,7 +35,8 @@ from .analysis import (
     memoryless_lower_bound,
     memoryless_squared_errors,
 )
-from .channel import Ar1Params, Ar2Params, _ar1_traces, gen_ar1, gen_ar2, rng_stream, save_trace
+from .channel import Ar1Params, Ar2Params, _ar1_traces, _innovations, gen_ar1, gen_ar2
+from .channel import rng_stream, save_trace
 from .codebooks import (
     ShapeGainCodebook,
     _harvest_closed_rows,
@@ -289,13 +290,20 @@ def _trace(params, seed: int):
     return generate(dataclasses.replace(params, seed=seed))
 
 
-def _traces(params, seed: int, tag: int, trials: int) -> list:
-    """``trials`` traces of ``params``, each at a 63-bit seed derived from
-    (seed, tag, trial); AR(1) traces share one recursion."""
+def _traces(grid, seed: int, tag: int, trials: int):
+    """For each AR(1) or AR(2) parameters of ``grid``, in turn, ``trials``
+    traces, each at a 63-bit seed derived from (seed, tag, trial).  The seeds
+    do not depend on the parameters, so the AR(1) entries, which differ only
+    in beta, share one innovation block, drawn once, and run one recursion
+    each over it."""
     seeds = [int(rng_stream(seed, tag, trial).integers(0, 2**63)) for trial in range(trials)]
-    if isinstance(params, Ar1Params):
-        return _ar1_traces(params, seeds)
-    return [_trace(params, s) for s in seeds]
+    z = None
+    for params in grid:
+        if isinstance(params, Ar1Params):
+            z = _innovations(params, seeds) if z is None else z
+            yield _ar1_traces(params, z)
+        else:
+            yield [_trace(params, s) for s in seeds]
 
 
 def _write_csv(config: ExperimentConfig, columns, rows):
@@ -409,7 +417,7 @@ def cmd_distortion(config: ExperimentConfig):
     options = config.options
     n = options["n"]
     directions = best_packing(n, options["n_d"])
-    traces = _traces(options["trace_params"], config.seed, 0xE7, options["trials"])
+    traces = next(_traces((options["trace_params"],), config.seed, 0xE7, options["trials"]))
     rows = []
     for n_m in options["n_m_grid"]:
         codebook = ShapeGainCodebook(directions, uniform_magnitude(n_m))
@@ -427,8 +435,8 @@ def cmd_gains(config: ExperimentConfig):
     packing = best_packing(options["n"], options["n_d"])
     curves = [(m, ShapeGainCodebook(packing, uniform_magnitude(m))) for m in options["n_m_grid"]]
     rows = []
-    for params in options["trace_params"]:
-        traces = _traces(params, config.seed, 0x6A, options["trials"])
+    grid = options["trace_params"]
+    for params, traces in zip(grid, _traces(grid, config.seed, 0x6A, options["trials"])):
         for n_m, codebook in curves:
             mse = _pooled_mse(traces, codebook, "pred_err")
             rows.append((params.beta, n_m, -_db(mse)))
@@ -446,8 +454,8 @@ def cmd_mse(config: ExperimentConfig):
     )
     memoryless = {b: best_packing(n, 2**b) for b in options["memoryless_bits_grid"]}
     rows = []
-    for params in options["trace_params"]:
-        traces = _traces(params, config.seed, 0x5E, options["trials"])
+    grid = options["trace_params"]
+    for params, traces in zip(grid, _traces(grid, config.seed, 0x5E, options["trials"])):
         rows.append(("gpc", bits, params.beta, _db(_pooled_mse(traces, gpc_codebook))))
         for b, packing in memoryless.items():
             squared = [memoryless_squared_errors(t.normalized, packing) for t in traces]

@@ -11,8 +11,10 @@ otherwise): the encoder, the decoder, the closed-loop training harvest and
 every experiment run it, the experiments with all their sessions in one
 batch (through ``_encode_rows``).  A batch's joint search computes into a
 workspace that ``_run``'s ``_Book`` keeps, so no step allocates its large
-temporaries; one session keeps whole-tensor products, the fewest calls.
-Points are built only where a public function takes or returns them.
+temporaries; one session's search is a few whole-array products on the
+book's one-session product table, and its geodesic step runs on floats
+inline.  Points are built only where a public function takes or returns
+them.
 
 Determinism.  Every quantity of the update (the prediction, the codeword
 reconstruction, the geodesic step, norms, chordal errors and the joint- and
@@ -185,12 +187,13 @@ def _sendable(index: CodewordIndex | None, step: int) -> CodewordIndex:
     return index
 
 
-def _pair(index: CodewordIndex, codebook: ShapeGainCodebook) -> tuple[int, int]:
-    if not (0 <= index.direction_index < codebook.directions.size):
-        raise IndexError(f"direction_index {index.direction_index} out of range")
-    if not (0 <= index.magnitude_index < codebook.magnitudes.size):
-        raise IndexError(f"magnitude_index {index.magnitude_index} out of range")
-    return int(index.direction_index), int(index.magnitude_index)
+def _pair(index: CodewordIndex, n_d: int, n_m: int) -> tuple[int, int]:
+    d, m = index.direction_index, index.magnitude_index
+    if not 0 <= d < n_d:
+        raise IndexError(f"direction_index {d} out of range")
+    if not 0 <= m < n_m:
+        raise IndexError(f"magnitude_index {m} out of range")
+    return d, m
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +213,15 @@ _Space = namedtuple("_Space", "re im t u den score")
 class _Book:
     """A shape-gain codebook laid out for the kernel: each codeword's
     columns (lists of floats for one session, (n, N_d) arrays for a batch),
-    the real-split conjugate codebook ``split`` (2n, 2, 1, N_d, 1) whose
-    product with a point's stacked (re; im) columns gives the (re; im) terms
-    of C^H x, the squared codeword norms (N_d, 1), and the magnitude levels'
-    cosines and sines, taken once from libm."""
+    the squared codeword norms (N_d,), and the magnitude levels' cosines and
+    sines, taken once from libm.
+
+    One session's search is a few whole-array products on the (2, n, 4, N_d)
+    ``table``: for the outputs (gr, gi, hr, hi) of g = C^H p and h = C^H o,
+    pair 0 is cr and pair 1 is (ci, -ci, ci, -ci), and ``gather`` picks from
+    a point's flat (pr, pi, or, oi) the (2, n, 4, 1) operand they multiply:
+    (pr, pi, or, oi) and (pi, pr, oi, or), so that a coordinate's pair sum is
+    its term of g and h, as :func:`_inner` forms it."""
 
     def __init__(self, codebook: ShapeGainCodebook):
         entries = codebook.directions.entries
@@ -221,13 +229,14 @@ class _Book:
         self.n_m = len(levels)
         self.re, self.im = entries.real.tolist(), entries.imag.tolist()
         self.cr, self.ci = cr, ci = entries.real.T.copy(), entries.imag.T.copy()  # (n, N_d)
-        split = np.array(((cr, -ci), (ci, cr))).transpose(0, 2, 1, 3)  # (re/im x, k, re/im, d)
-        self.split = split.reshape(2 * len(cr), 2, 1, -1, 1)
-        self.sq = _sqnorm(cr, ci)[:, None]
+        n, signs = len(cr), np.array((1.0, -1.0, 1.0, -1.0))[:, None]
+        self.table = np.array((np.repeat(cr[:, None], 4, axis=1), ci[:, None] * signs))  # (2, n, 4, N_d)
+        order = np.array(((0, 1, 2, 3), (1, 0, 3, 2)))[:, None]  # (pr, pi, or, oi) and (pi, pr, oi, or)
+        self.gather = (n * order + np.arange(n)[:, None])[..., None]  # (2, n, 4, 1)
+        self.sq = _sqnorm(cr, ci)
         self.cos = [math.cos(m) for m in levels]
         self.sin = [math.sin(m) for m in levels]
-        self.cos_col = np.array(self.cos)[:, None]
-        self.sin_col = np.array(self.sin)[:, None]
+        self.cos_row, self.sin_row = np.array(self.cos), np.array(self.sin)
         self._space = None
 
     def space(self, width: int) -> _Space:
@@ -247,12 +256,7 @@ class _Book:
     def level(self, m):
         if type(m) is int:
             return self.cos[m], self.sin[m]
-        return self.cos_col[m, 0], self.sin_col[m, 0]
-
-
-def _stacked(rho):
-    """(re, im) of per-session scalars as a (2, 1, B) array."""
-    return np.array(rho, dtype=np.float64).reshape(2, 1, -1)
+        return self.cos_row[m], self.sin_row[m]
 
 
 def _projections(book: _Book, predicted, observed, rho):
@@ -263,20 +267,23 @@ def _projections(book: _Book, predicted, observed, rho):
         s_d = (h_d - g_d rho) / sqrt(||c_d||^2 - |g_d|^2),
 
     and 0 where the projection collapses.  Returns s as (re; im): shape
-    (2, N_d, 1) for one session, and for a batch two (N_d, B) planes of the
+    (2, N_d) for one session, and for a batch two (N_d, B) planes of the
     book's workspace, valid until its next search."""
     if type(rho[0]) is not float:
         return _planes(book, predicted, observed, rho)
-    n = len(predicted[0])
     x = np.array([*predicted[0], *predicted[1], *observed[0], *observed[1]])
-    x = x.reshape(2, 2 * n, -1).transpose(1, 0, 2)[:, None, :, None]  # (2n, 1, p/o, 1, B)
-    terms = book.split * x  # (2n, re/im, p/o, N_d, B): one small product costs the fewest calls
-    g, h = _csum(terms[:n] + terms[n:]).swapaxes(0, 1)
+    terms = book.table * x[book.gather]
+    gh = _csum(terms[0] + terms[1])  # (gr, gi, hr, hi) x N_d
+    g, s = gh[:2], gh[2:]
     rr, ri = rho
-    g_rho = g * rr + g[::-1] * _stacked((-ri, ri))
+    g_rho = g * rr
+    g_rho += g[::-1] * np.array(((-ri,), (ri,)))
     gg = g * g
     den = book.sq - (gg[0] + gg[1])
-    return (h - g_rho) / np.sqrt(np.where(den > PROJECTION_COLLAPSE_TOL**2, den, np.inf))
+    den[~(den > PROJECTION_COLLAPSE_TOL**2)] = np.inf  # before sqrt: no invalid-value warning
+    s -= g_rho
+    s /= np.sqrt(den, out=den)
+    return s
 
 
 def _planes(book: _Book, predicted, observed, rho):
@@ -296,7 +303,7 @@ def _planes(book: _Book, predicted, observed, rho):
                 out += w.t
     (gr, hr), (gi, hi), t, u, den = w.re, w.im, w.t, w.u, w.den
     np.add(np.multiply(gr, gr, out=t[0]), np.multiply(gi, gi, out=u[0]), out=t[0])
-    np.subtract(book.sq, t[0], out=den)
+    np.subtract(book.sq[:, None], t[0], out=den)
     den[~(den > PROJECTION_COLLAPSE_TOL**2)] = np.inf  # before sqrt: no invalid-value warning
     np.sqrt(den, out=den)
     # h - g rho over the scale, into h's planes: g is not needed again.
@@ -315,24 +322,22 @@ def _pick(book: _Book, predicted, observed, rho, chord):
     if type(chord) is float and chord < ZERO_TANGENT_TOL:
         return 0, 0
     s = _projections(book, predicted, observed, rho)
-    if type(chord) is float:  # one small product costs the fewest calls
-        inner = book.sin_col * s[:, :, None]
-        inner += book.cos_col * _stacked(rho)[:, None]
+    if type(chord) is float:  # (2, N_d, N_m) parts, one whole-array product each
+        inner = s[:, :, None] * book.sin_row
+        inner += np.multiply.outer(rho, book.cos_row)[:, None]
         inner *= inner
-        score = inner[0] + inner[1]  # (N_d, N_m, 1)
-    else:  # the same operations, one level at a time into the workspace
-        w = book.space(len(chord))
-        score, (a, b) = w.score, w.t
-        cos_rho = book.cos_col * rho[0], book.cos_col * rho[1]  # (N_m, B) each
-        for m, (sin, cos_rr, cos_ri) in enumerate(zip(book.sin, *cos_rho)):
-            for part, s_part, cos_rho in ((a, s[0], cos_rr), (b, s[1], cos_ri)):
-                np.multiply(s_part, sin, out=part)
-                part += cos_rho
-                part *= part
-            np.add(a, b, out=score[:, m])
+        return divmod(int((inner[0] + inner[1]).argmax()), book.n_m)
+    # The same operations, one level at a time into the workspace.
+    w = book.space(len(chord))
+    score, (a, b) = w.score, w.t
+    cos_rho = book.cos_row[:, None] * rho[0], book.cos_row[:, None] * rho[1]  # (N_m, B) each
+    for m, (sin, cos_rr, cos_ri) in enumerate(zip(book.sin, *cos_rho)):
+        for part, s_part, cos_rho in ((a, s[0], cos_rr), (b, s[1], cos_ri)):
+            np.multiply(s_part, sin, out=part)
+            part += cos_rho
+            part *= part
+        np.add(a, b, out=score[:, m])
     flat = score.reshape(-1, score.shape[-1]).argmax(axis=0)
-    if type(chord) is float:
-        return divmod(int(flat[0]), book.n_m)
     flat[chord < ZERO_TANGENT_TOL] = 0
     return divmod(flat, book.n_m)
 
@@ -373,19 +378,11 @@ def _pick_free(book: _Book, predicted, observed, rho, chord):
     half = 0.5 * (bb - ss)
     peak = 0.5 * (bb + ss) + np.sqrt(half * half + cross * cross)
     d = np.where(cross >= 0.0, peak, np.maximum(bb, ss)).argmax(axis=0)
-    at = (d, np.arange(d.size))
-    arcs = [
-        _free_arc(*args)
-        for args in zip(
-            cross[at].tolist(),
-            ss[at].tolist(),
-            np.broadcast_to(bb, d.shape).tolist(),
-            np.broadcast_to(chord, d.shape).tolist(),
-        )
-    ]
-    cos, sin = zip(*arcs)
     if type(chord) is float:
-        return int(d[0]), cos[0], sin[0]
+        return int(d), *_free_arc(cross[d].item(), ss[d].item(), bb, chord)
+    at = (d, np.arange(d.size))
+    args = cross[at].tolist(), ss[at].tolist(), bb.tolist(), chord.tolist()
+    cos, sin = zip(*(_free_arc(*arc) for arc in zip(*args)))
     return d, np.array(cos), np.array(sin)
 
 
@@ -394,16 +391,22 @@ def _along(book: _Book, predicted, d, cos, sin):
     projected, renormalized direction, for the arc length of the given
     cosine and sine.  A zero arc (sin == 0) or a projection that collapses
     leaves the prediction."""
+    if type(d) is int:  # one session: _direction, _geodesic_cols and _unit, inlined
+        (pr, pi), (cr, ci) = predicted, book.codeword(d)
+        ur, ui = _inner(pr, pi, cr, ci)
+        wr = [x - (ur * a - ui * b) for x, a, b in zip(cr, pr, pi)]
+        wi = [y - (ur * b + ui * a) for y, a, b in zip(ci, pr, pi)]
+        wn = math.sqrt(_sqnorm(wr, wi))
+        if not (wn >= PROJECTION_COLLAPSE_TOL and sin > 0.0):
+            return predicted
+        vr = [a * cos + (x / wn) * sin for a, x in zip(pr, wr)]
+        vi = [b * cos + (y / wn) * sin for b, y in zip(pi, wi)]
+        nrm = math.sqrt(_sqnorm(vr, vi))
+        return [a / nrm for a in vr], [b / nrm for b in vi]
     wr, wi, wn = _direction(predicted, book.codeword(d))
     keep = (wn >= PROJECTION_COLLAPSE_TOL) & (sin > 0.0)
-    if type(keep) is bool:
-        if not keep:
-            return predicted
-    else:
-        wn = np.where(keep, wn, 1.0)
+    wn = np.where(keep, wn, 1.0)
     estimate = _geodesic_cols(*predicted, [x / wn for x in wr], [y / wn for y in wi], cos, sin)
-    if type(keep) is bool:
-        return estimate
     return tuple([np.where(keep, e, p) for e, p in zip(*part)] for part in zip(estimate, predicted))
 
 
@@ -442,7 +445,7 @@ def reconstruct_codeword(
     geodesic endpoint on the manifold.  A codeword collinear with the base
     (projection collapse) reconstructs to the zero tangent.
     """
-    d, m = _pair(index, codebook)
+    d, m = _pair(index, codebook.directions.size, codebook.magnitudes.size)
     magnitude = float(codebook.magnitudes.entries[m])
     wr, wi, wn = _direction(_cols(predicted.coords), _cols(codebook.directions.entries[d]))
     if magnitude == 0.0 or wn < PROJECTION_COLLAPSE_TOL:
@@ -455,10 +458,10 @@ def _seed(x0: np.ndarray, x1: np.ndarray, codebook, mode: str):
     observed rows."""
     if mode == "exact":
         q0, q1 = _cols(x0), _cols(x1)
-        a, *predicted = _predict_cols(*q0, *q1)
+        a, predicted = _predict_cols(*q0, *q1)
         if a <= RHO_MIN:
             raise CutLocusError(a)
-        return q0, q1, tuple(predicted)
+        return q0, q1, predicted
     if mode != "memoryless":
         raise ValueError(f"mode must be 'exact' or 'memoryless', got {mode!r}")
     if codebook is None:
@@ -468,9 +471,9 @@ def _seed(x0: np.ndarray, x1: np.ndarray, codebook, mode: str):
     # _nearest's pick first (the stable ranking starts with it), then the rest.
     for i1 in np.argsort(-_scores(x1[None, :], entries)[0], kind="stable"):
         q1 = _unit(*_cols(entries[i1]))
-        rho_abs, *predicted = _predict_cols(*q0, *q1)
+        rho_abs, predicted = _predict_cols(*q0, *q1)
         if rho_abs > RHO_MIN:
-            return q0, q1, tuple(predicted)
+            return q0, q1, predicted
     raise CutLocusError(rho_abs, "no codeword for the second point can seed the predictor")
 
 
@@ -544,8 +547,9 @@ def _run(codebook, state, time, observed=None, pairs=None, free_magnitude=False,
     Without ``reseed``, and always in the decoder, :class:`TrackingLostError`
     is raised.  The returned arrays lead with the session axis: ``pairs``
     (B, T, 2), -1 where a step has no wire form; ``estimates`` and
-    ``predictions`` (B, T, n); ``pred_err`` and ``est_err`` (B, T), empty for
-    the decoder; ``state`` (B, 3, n); ``reinits`` (B,).
+    ``predictions`` (B, T, n); ``pred_err`` and ``est_err`` (B, T);
+    ``state`` (B, 3, n); ``reinits`` (B,).  The decoder returns only
+    ``estimates``, ``state`` and ``time``, and None for the other fields.
     """
     book = _Book(codebook)
     prev, curr, predicted = state
@@ -561,15 +565,16 @@ def _run(codebook, state, time, observed=None, pairs=None, free_magnitude=False,
         else:  # (T, n, B)
             obs_re = np.moveaxis(observed.real, 0, -1).copy()
             obs_im = np.moveaxis(observed.imag, 0, -1).copy()
-    sent, estimates, predictions, pred_err, est_err = [], [], [], [], []
+    sent, estimates, predictions, pred_err = [], [], [], []
+    send = not (decoding or free_magnitude)
     reinits = np.zeros(sessions, dtype=int)
     for j in range(steps):
-        predictions.append(predicted)
         if decoding:
             d, m = pairs[j]
             estimate = _along(book, predicted, d, *book.level(m))
             a_obs = math.inf
         else:
+            predictions.append(predicted)
             obs = (obs_re[j + 2], obs_im[j + 2])
             rho = _inner(*predicted, *obs)
             a_obs = _sqrt(rho[0] * rho[0] + rho[1] * rho[1])
@@ -582,12 +587,12 @@ def _run(codebook, state, time, observed=None, pairs=None, free_magnitude=False,
                 d, m = _pick(book, predicted, obs, rho, chord)
                 cos, sin = book.level(m)
             estimate = _along(book, predicted, d, cos, sin)
-        a_next, *following = _predict_cols(*curr, *estimate)
+        a_next, following = _predict_cols(*curr, *estimate)
         lost = (a_obs <= RHO_MIN) | (a_next <= RHO_MIN)
         if lost if single else lost.any():
             if decoding or reseed is None:
                 a = min(a_obs, a_next) if single else np.minimum(a_obs, a_next)[lost].min()
-                raise TrackingLostError(a, time)
+                raise TrackingLostError(a, time + j)
             lost_at = [0] if single else np.flatnonzero(lost).tolist()
             seeds = {b: _seed(observed[b, j + 1], observed[b, j + 2], codebook, reseed) for b in lost_at}
             reinits[lost_at] += 1
@@ -597,30 +602,35 @@ def _run(codebook, state, time, observed=None, pairs=None, free_magnitude=False,
             else:
                 prev, curr, predicted = (
                     _reseeded(point, seeds, p)
-                    for p, point in enumerate((curr, estimate, tuple(following)))
+                    for p, point in enumerate((curr, estimate, following))
                 )
                 d, m = np.where(lost, -1, d), np.where(lost, -1, m)
             estimate = curr
         else:
-            prev, curr, predicted = curr, estimate, tuple(following)
-        time += 1
-        if not free_magnitude:
+            prev, curr, predicted = curr, estimate, following
+        if send:
             sent.append((d, m))
         estimates.append(estimate)
-        if not decoding:
-            est_err.append(_chord_cols(*estimate, *obs, _inner(*estimate, *obs)))
+    rows = _rows(estimates, sessions)
+    state = _rows((prev, curr, predicted), sessions)
+    if decoding:
+        return _Run(None, rows, None, None, None, state, time + steps, None)
     if free_magnitude:
         pairs = np.full((sessions, steps, 2), -1)
     else:
         pairs = np.reshape(sent, (steps, 2, sessions)).transpose(2, 0, 1)
-    errors = (np.reshape(e, (len(e), sessions)).T for e in (pred_err, est_err))
+    # Each estimate's error, for every (session, step) at once: the chord is
+    # elementwise, so its bits are those of one column at a time.
+    est, obs = np.moveaxis(rows, -1, 0), np.moveaxis(observed[:, 2:], -1, 0)  # (n, B, T)
+    parts = est.real, est.imag, obs.real, obs.imag
     return _Run(
         pairs,
-        _rows(estimates, sessions),
+        rows,
         _rows(predictions, sessions),
-        *errors,
-        _rows((prev, curr, predicted), sessions),
-        time,
+        np.reshape(pred_err, (steps, sessions)).T,
+        _chord_cols(*parts, _inner(*parts)),
+        state,
+        time + steps,
         reinits,
     )
 
@@ -707,7 +717,8 @@ def decode_trace(
 ) -> tuple[tuple[GrassmannPoint, ...], GpcState]:
     """Replay an index stream from an initial state; an empty stream leaves
     the state unchanged."""
-    pairs = [_pair(_sendable(index, step), codebook) for step, index in enumerate(indices)]
+    sizes = codebook.directions.size, codebook.magnitudes.size
+    pairs = [_pair(_sendable(index, step), *sizes) for step, index in enumerate(indices)]
     if not pairs:
         return (), state
     points = (_cols(p.coords) for p in (state.est_prev, state.est_curr, state.predicted))
@@ -732,5 +743,8 @@ def read_index_stream(path, n_m: int) -> tuple[CodewordIndex, ...]:
         for line in fh:
             line = line.strip()
             if line:
-                out.append(CodewordIndex.deserialize(int(line), n_m))
+                value = int(line)
+                if value < 0:
+                    raise ValueError("serialized index must be nonnegative")
+                out.append(CodewordIndex(*divmod(value, n_m)))
     return tuple(out)

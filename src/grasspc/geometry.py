@@ -125,7 +125,8 @@ def _sqnorm(vr, vi):
 
 def _unit(vr, vi):
     """v / ||v||, as (re, im) lists."""
-    nrm = _sqrt(_sqnorm(vr, vi))
+    sq = _sqnorm(vr, vi)
+    nrm = math.sqrt(sq) if type(sq) is float else np.sqrt(sq)  # _sqrt, inlined
     return [a / nrm for a in vr], [b / nrm for b in vi]
 
 
@@ -195,14 +196,14 @@ def _chord_cols(xr, xi, yr, yi, rho):
 
 
 def _predict_cols(pr, pi, cr, ci):
-    """(|rho|, re, im) of the unit prediction (|rho| + rho^*) curr - prev
-    over columns, with rho = prev^H curr; the caller guards |rho|."""
+    """|rho| and the (re, im) columns of the unit prediction (|rho| + rho^*)
+    curr - prev, with rho = prev^H curr; the caller guards |rho|."""
     rr, ri = _inner(pr, pi, cr, ci)
     a = _sqrt(rr * rr + ri * ri)
     u = a + rr
     vr = [u * x + ri * y - p for p, x, y in zip(pr, cr, ci)]
     vi = [u * y - ri * x - q for q, x, y in zip(pi, cr, ci)]
-    return (a, *_unit(vr, vi))
+    return a, _unit(vr, vi)
 
 
 def _geodesic_cols(br, bi, dr, di, cos, sin):
@@ -480,7 +481,7 @@ def parallel_transport(x1: GrassmannPoint, x2: GrassmannPoint) -> TangentVector:
 
 def _predict_coords(x_prev: np.ndarray, x_curr: np.ndarray) -> np.ndarray:
     """:func:`predict_one_step` on plain rows."""
-    a, vr, vi = _predict_cols(*_cols(x_prev), *_cols(x_curr))
+    a, (vr, vi) = _predict_cols(*_cols(x_prev), *_cols(x_curr))
     if a <= RHO_MIN:
         raise CutLocusError(a)
     return _row(vr, vi)

@@ -311,21 +311,23 @@ def _memoryless_trial(config: SumRateConfig, trial: int):
     return h, quantized
 
 
-def _gpc_steps(config: SumRateConfig, fdts: float, codebook: ShapeGainCodebook):
-    """True and tracked (trials * window, U, n) stacks of the ``gpc``
-    scheme: all (trial, user) channels run through one AR(1) recursion and
-    are tracked by one batch of codec sessions."""
+def _gpc_steps(config: SumRateConfig, codebook: ShapeGainCodebook):
+    """For each Doppler value of ``config.fdts_grid`` in turn, the true and
+    tracked (trials * window, U, n) stacks of the ``gpc`` scheme: all (trial,
+    user) channels run through one AR(1) recursion over one innovation block,
+    drawn once, and are tracked by one batch of codec sessions."""
     keys = [(trial, u) for trial in range(config.trials) for u in range(config.users)]
     shape = (config.steps, config.n_t)
     z = np.stack([complex_gaussian(rng_stream(config.seed, 0xA1, *k), shape) for k in keys], axis=1)
-    # (trials * users, steps, n), contiguous as the per-session traces were.
-    raw = ar1_from_innovations(z, bessel_j0(2.0 * math.pi * fdts)).swapaxes(0, 1).copy()
-    run = _encode_rows(_unit_rows(raw), codebook, "memoryless", reseed="memoryless")
     shape = (config.trials, config.users, config.window, config.n_t)
-    return tuple(
-        np.ascontiguousarray(rows.reshape(shape).swapaxes(1, 2)).reshape(-1, *shape[1::2])
-        for rows in (raw[:, config.discard :], run.estimates[:, config.discard - 2 :])
-    )
+    for fdts in config.fdts_grid:
+        # (trials * users, steps, n), contiguous as the per-session traces were.
+        raw = ar1_from_innovations(z, bessel_j0(2.0 * math.pi * fdts)).swapaxes(0, 1).copy()
+        estimates = _encode_rows(_unit_rows(raw), codebook, "memoryless", reseed="memoryless").estimates
+        yield tuple(
+            np.ascontiguousarray(rows.reshape(shape).swapaxes(1, 2)).reshape(-1, *shape[1::2])
+            for rows in (raw[:, config.discard :], estimates[:, config.discard - 2 :])
+        )
 
 
 def run_sumrate_experiment(
@@ -348,13 +350,14 @@ def run_sumrate_experiment(
     if codebook is not None and codebook.n != config.n_t:
         raise ValueError(f"codebook dimension {codebook.n} does not match n_t {config.n_t}")
 
+    gpc = _gpc_steps(config, codebook)  # draws nothing before its first step
     cells: list[SumRateTableRow] = []
     for scheme in config.schemes:
         fdts_values = config.fdts_grid if scheme == "gpc" else (0.0,)
         bits = 0 if scheme == "perfect_csi" else config.bits
         for fdts in fdts_values:
             if scheme == "gpc":
-                steps = _gpc_steps(config, fdts, codebook)
+                steps = next(gpc)
             else:
                 trial = _perfect_csi_trial if scheme == "perfect_csi" else _memoryless_trial
                 steps = map(np.concatenate, zip(*(trial(config, t) for t in range(config.trials))))

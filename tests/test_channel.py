@@ -23,7 +23,7 @@ from grasspc import (
     save_trace,
     sequence_correlation,
 )
-from grasspc.channel import _ar1_traces, ar1_from_innovations
+from grasspc.channel import _ar1_traces, _innovations, ar1_from_innovations
 from grasspc.cli import _traces
 
 
@@ -221,8 +221,8 @@ def one_trace_reference(params, seed):
 def test_stacked_ar1_traces_match_traces_generated_alone(n, beta, steps, count):
     params = Ar1Params(n=n, beta=beta, steps=steps, seed=0)
     seeds = [int(rng_stream(9, 0x5E, k).integers(0, 2**63)) for k in range(count)]
-    stacked = _ar1_traces(params, seeds)
-    through_cli = _traces(params, 9, 0x5E, count)
+    stacked = _ar1_traces(params, _innovations(params, seeds))
+    through_cli = next(_traces((params,), 9, 0x5E, count))
     for seed, trace, cli_trace in zip(seeds, stacked, through_cli, strict=True):
         raw, normalized = one_trace_reference(params, seed)
         alone = gen_ar1(Ar1Params(n=n, beta=beta, steps=steps, seed=seed))
@@ -325,6 +325,28 @@ def test_channel_trace_rejects_non_unit_normalized_rows():
     raw = complex_gaussian(rng_stream(13), (5, 3))
     with pytest.raises(ValueError):
         ChannelTrace(raw=raw, normalized=raw)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_channel_trace_rejects_non_finite_normalized_rows(bad):
+    trace = gen_ar1(Ar1Params(n=3, beta=0.01, steps=3, seed=13))
+    normalized = trace.normalized.copy()
+    normalized[1, 2] = bad
+    with pytest.raises(ValueError, match="finite and unit norm"):
+        ChannelTrace(raw=trace.raw, normalized=normalized)
+
+
+def test_channel_trace_points_adopt_a_checked_copy_of_the_rows():
+    trace = gen_ar1(Ar1Params(n=4, beta=0.01, steps=20, seed=13))
+    points = trace.points
+    assert [p.coords.tobytes() for p in points] == [r.tobytes() for r in trace.normalized]
+    assert not any(p.coords.flags.writeable for p in points)
+    trace.normalized[0] = np.nan  # the points keep their own copy
+    assert not np.isnan(points[0].coords).any()
+    fresh = ChannelTrace(raw=trace.raw, normalized=gen_ar1(Ar1Params(4, 0.01, 20, 13)).normalized)
+    fresh.normalized[3] *= 2.0  # a row broken after construction is caught at .points
+    with pytest.raises(ValueError, match="finite and unit norm"):
+        fresh.points
 
 
 def test_save_load_round_trip(tmp_path):

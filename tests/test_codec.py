@@ -323,6 +323,25 @@ def test_encoder_decoder_bit_identical_memoryless_init():
         assert np.array_equal(a.coords, b.coords)
 
 
+@pytest.mark.parametrize("residual", [0.0, 1e-13])
+def test_decoded_collapsed_codeword_leaves_the_prediction(residual):
+    # Codeword 0 is e_0 and every prediction is i (e_0 + residual e_1) up to
+    # rounding, where that codeword's projection onto the tangent space is
+    # zero or below PROJECTION_COLLAPSE_TOL: at every magnitude the decoder
+    # must return the prediction, bit for bit.
+    words = best_packing(4, 8, draws=1000).entries.copy()
+    words[0] = np.eye(4)[0]
+    cb = ShapeGainCodebook(DirectionCodebook(words), uniform_magnitude(4, 0.0, 1.2))
+    x = GrassmannPoint.from_vector(1j * (np.eye(4)[0] + residual * np.eye(4)[1]))
+    state = GpcState(x, x, predict_one_step(x, x), 2)
+    decoded, final = decode_trace(state, [CodewordIndex(0, m) for m in (3, 1, 2, 0)], cb)
+    history = [x, x, *decoded]
+    for j, point in enumerate(decoded):
+        predicted = predict_one_step(history[j], history[j + 1])
+        assert point.coords.tobytes() == predicted.coords.tobytes()
+    assert final.time == 6
+
+
 def test_empty_stream_leaves_state_unchanged():
     cb = small_codebook()
     rng = rng_stream(12)
@@ -476,6 +495,14 @@ def test_read_index_stream_rejects_bad_magnitude_counts(tmp_path, n_m, message):
     path.write_text("5\n")
     with pytest.raises(ValueError, match=f"n_m must be {message}"):
         read_index_stream(path, n_m)
+
+
+@pytest.mark.parametrize("line, message", [("-3", "nonnegative"), ("2.0", "invalid literal")])
+def test_read_index_stream_rejects_bad_lines(tmp_path, line, message):
+    path = tmp_path / "stream.txt"
+    path.write_text(f"5\n{line}\n")
+    with pytest.raises(ValueError, match=message):
+        read_index_stream(path, 4)
 
 
 def test_index_stream_rejects_reinit_gaps(tmp_path):
@@ -877,6 +904,19 @@ def test_batched_sessions_match_sessions_alone(monkeypatch, chunk):
             assert same_rows(batch.estimates[b], [e.coords for e in decoded])
 
 
+def test_estimate_errors_are_chordal_distances_through_track_loss():
+    # The encoder computes every estimate's error after its step loop; each
+    # must be the chordal distance to its observation, re-init step included.
+    _, traces = batch_traces()
+    points = [GrassmannPoint(r) for r in traces[5]]
+    cb = ShapeGainCodebook(best_packing(4, 64), uniform_magnitude(8))
+    res = encode_trace(points, cb, "memoryless", on_track_loss="reinit")
+    assert res.reinits >= 1 and None in res.indices
+    for j, estimate in enumerate(res.estimates):
+        expected = np.float64(chordal_distance(estimate, points[j + 2]))
+        assert res.estimate_errors[j].tobytes() == expected.tobytes()
+
+
 def state_points_rows(state):
     return [p.coords for p in state_points(state)]
 
@@ -919,14 +959,19 @@ def batch_columns(rows):
 )
 @example(sessions=300, seed=1, n=4, n_d=64, n_m=8, chunk=256)
 @example(sessions=2, seed=2, n=3, n_d=8, n_m=4, chunk=1)
+@example(sessions=3, seed=3, n=2, n_d=8, n_m=1, chunk=2)
+@example(sessions=5, seed=4, n=8, n_d=64, n_m=1, chunk=3)
+@example(sessions=4, seed=5, n=8, n_d=2, n_m=8, chunk=4)
 def test_batched_search_matches_sessions_alone(sessions, seed, n, n_d, n_m, chunk):
     cb, predicted, observed = search_case(seed, sessions, n, n_d, n_m)
     book = _Book(cb)
     alone = []
-    for p_row, o_row in zip(predicted, observed):
+    for b, (p_row, o_row) in enumerate(zip(predicted, observed)):
         p, o = _cols(p_row), _cols(o_row)
         rho = _inner(*p, *o)
         chord = _chord_cols(*p, *o, rho)
+        if b == 1:  # the one-session search scores the collapsed codeword's s as 0
+            assert not codec._projections(book, p, o, rho)[:, 0].any()
         alone.append((*_pick(book, p, o, rho, chord), *_pick_free(book, p, o, rho, chord)))
     d, m, free_d, cos, sin = (np.array(column) for column in zip(*alone))
     assert (d[0], m[0]) == (0, 0)
