@@ -11,13 +11,13 @@ G(n, 1); all randomness flows through named Philox substreams so that any
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .geometry import UNIT_NORM_TOL, GrassmannPoint, _cols, _sqnorm
+from .params import Ar1Params, Ar2Params, _count, _j0
 
 __all__ = [
     "Ar1Params",
@@ -38,34 +38,6 @@ __all__ = [
 _LOG_CLAMP = 700.0
 
 
-#: Trapezoid nodes for J0's integral form, used beyond |x| = 8.
-_J0_NODES = 64
-
-
-def _j0(x: float) -> float:
-    x = abs(x)
-    if x <= 8.0:
-        # The power series sum_k (-x^2/4)^k / (k!)^2, in + - * / only, so the
-        # value is the same on every IEEE 754 platform.  Past the largest
-        # term the terms shrink, and once one no longer moves the total the
-        # rest cannot either.
-        q = -0.25 * x * x
-        term = total = 1.0
-        k = 0
-        while True:
-            k += 1
-            term = term * q / (k * k)
-            if total + term == total:
-                return total
-            total = total + term
-    # J0(x) = (1/pi) int_0^pi cos(x sin t) dt: the trapezoid rule on this
-    # periodic integrand errs by about J_{2N}(x), far below 1e-16 for x <= 20.
-    total = 0.0
-    for j in range(_J0_NODES):
-        total += math.cos(x * math.sin(j * math.pi / _J0_NODES))
-    return total / _J0_NODES
-
-
 def bessel_j0(x):
     """Bessel function of the first kind J0, elementwise, float64.
 
@@ -77,22 +49,6 @@ def bessel_j0(x):
         return _j0(float(x))
     arr = np.asarray(x, dtype=np.float64)
     return np.array([_j0(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
-
-
-def _count(name: str, value) -> int:
-    """An integer argument (a count, size or seed) as an int: Python and
-    numpy integers pass, anything else (a float such as 4.0 included) is a
-    ValueError naming ``name``, rather than being truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _int_fields(obj, *names: str):
-    """Store the named fields of a frozen dataclass as ints, by :func:`_count`."""
-    for name in names:
-        object.__setattr__(obj, name, _count(name, getattr(obj, name)))
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -109,65 +65,6 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     """Circularly symmetric CN(0, 1) entries: variance 1/2 per real part."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class Ar1Params:
-    """First-order model h[k] = alpha h[k-1] + sqrt(1 - alpha^2) z[k].
-
-    ``beta`` is the normalized Doppler f_D T_s; alpha = J0(2 pi beta).
-    """
-
-    n: int
-    beta: float
-    steps: int
-    seed: int
-
-    def __post_init__(self):
-        _int_fields(self, "n", "steps", "seed")
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        if self.beta < 0.0 or not np.isfinite(self.beta):
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        if self.steps < 3:
-            raise ValueError(f"need steps >= 3, got {self.steps}")
-
-    @property
-    def alpha(self) -> float:
-        a = bessel_j0(2.0 * np.pi * self.beta)
-        if not -1.0 < a <= 1.0:
-            raise ValueError(f"lag-1 coefficient {a} outside (-1, 1]")
-        return a
-
-
-@dataclass(frozen=True)
-class Ar2Params:
-    """Second-order model h[k] = a1 h[k-1] + a2 h[k-2] + noise_std z[k].
-
-    ``noise_std`` is an explicit parameter rather than a function of the
-    coefficients: the classic unit-variance scaling sqrt(1 - a1^2 - a2^2)
-    is imaginary for strongly correlated coefficient pairs such as
-    (0.9, 0.75), so the innovation scale must be supplied.
-    """
-
-    n: int
-    a1: float
-    a2: float
-    noise_std: float
-    steps: int
-    seed: int
-
-    def __post_init__(self):
-        _int_fields(self, "n", "steps", "seed")
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        if self.steps < 3:
-            raise ValueError(f"need steps >= 3, got {self.steps}")
-        if self.noise_std < 0.0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
-        for name in ("a1", "a2"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
 
 
 @dataclass

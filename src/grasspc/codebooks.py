@@ -18,8 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import _count, rng_stream
+from .channel import rng_stream
 from .geometry import CutLocusError, _log_coords, _predict_coords
+from .params import _count, _is_pow2
 
 __all__ = [
     "FILE_NORM_TOL",
@@ -48,10 +49,6 @@ LLOYD_TOL = 1e-8
 # Floating-point slack for the hard monotonicity assertion: the analytic
 # argument gives non-increase exactly, rounding can wobble a plateau.
 _MONOTONE_SLACK = 1e-12
-
-
-def _is_pow2(k: int) -> bool:
-    return k >= 1 and (k & (k - 1)) == 0
 
 
 @dataclass(frozen=True)

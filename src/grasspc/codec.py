@@ -25,7 +25,8 @@ or complex ufunc multiply.  So, byte for byte:
 * a session's indices, estimates, errors and re-inits are the same alone or
   in a batch of any size, and whatever chunk a batch is split into;
 * the decoder replays the encoder's estimates from the initial state and
-  the index stream under any OpenBLAS kernel and any numpy SIMD dispatch;
+  the index stream, one session alone or a batch of them, under any
+  OpenBLAS kernel and any numpy SIMD dispatch;
 * the quickstart ``gen-trace``, ``distortion``, ``gains``, ``mse`` and
   ``sumrate`` CSV data rows do not change with either: the public geometry
   and the harvests run the same helpers, and traces are normalized by
@@ -51,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _count
 from .codebooks import DirectionCodebook, ShapeGainCodebook, _nearest, _scores
 from .geometry import (
     RHO_MIN,
@@ -71,6 +71,7 @@ from .geometry import (
     _sqrt,
     _unit,
 )
+from .params import _count
 
 __all__ = [
     "PROJECTION_COLLAPSE_TOL",
@@ -539,8 +540,10 @@ def _run(codebook, state, time, observed=None, pairs=None, free_magnitude=False,
     steps from the prediction along it and extrapolates the next prediction.
     The encoder passes the sessions' observed rows, shape (B, T, n), whose
     rows 0 and 1 seeded ``state``, and searches every codeword; the decoder
-    (B = 1) passes the received index ``pairs``.  Both ends run the same
-    float operations in the same order, which keeps them bit-synchronized.
+    passes the received index ``pairs``, one (d, m) per step: ints for one
+    session, (B,) integer arrays for a batch.  Both ends run the same float
+    operations in the same order, which keeps them bit-synchronized, and a
+    batch decodes each session to the bytes it decodes to alone.
 
     On track loss a session leaves the step: the encoder re-seeds it alone
     from its two latest observations in mode ``reseed`` and counts a re-init.

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _int_fields, ar1_from_innovations, bessel_j0, complex_gaussian, rng_stream
+from .channel import ar1_from_innovations, bessel_j0, complex_gaussian, rng_stream
 from .codebooks import ShapeGainCodebook, _nearest, best_packing, uniform_magnitude
 from .codec import _encode_rows
 from .geometry import _unit_rows
+from .params import SCHEMES, SumRateConfig
 
 __all__ = [
     "RankDeficientError",
@@ -39,8 +40,6 @@ __all__ = [
 
 RANK_TOL = 1e-10
 UNIT_COLUMN_TOL = 1e-12
-
-SCHEMES = ("perfect_csi", "memoryless_random", "gpc")
 
 
 class RankDeficientError(ArithmeticError):
@@ -199,55 +198,6 @@ def evaluate_sum_rate(
     sinr = per_user_sinr(channels, beamformers, snr_db)
     rate = np.log2(1.0 + sinr)
     return SumRateResult(sinr, rate, float(rate.sum()), float(snr_db))
-
-
-@dataclass(frozen=True)
-class SumRateConfig:
-    """Settings for the sum-rate comparison experiment."""
-
-    n_t: int = 4
-    users: int = 4
-    bits: int = 9
-    magnitude_bits: int = 3
-    snr_db_grid: tuple = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
-    fdts_grid: tuple = (0.001, 0.01, 0.02, 0.04)
-    schemes: tuple = SCHEMES
-    trials: int = 500
-    steps: int = 60
-    discard: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        _int_fields(self, "n_t", "users", "bits", "magnitude_bits", "trials", "steps", "discard", "seed")
-        if self.n_t < 2:
-            raise ValueError(f"n_t must be >= 2, got {self.n_t}")
-        if not 1 <= self.users <= self.n_t:
-            raise ValueError(f"need 1 <= users <= n_t={self.n_t}, got {self.users}")
-        unknown = set(self.schemes) - set(SCHEMES)
-        if unknown or not self.schemes:
-            raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}, got {self.schemes}")
-        if "gpc" in self.schemes and self.bits <= self.magnitude_bits:
-            raise ValueError(
-                f"bits ({self.bits}) must exceed magnitude_bits ({self.magnitude_bits}) "
-                "to leave at least one direction bit"
-            )
-        if self.bits < 1 or self.magnitude_bits < 0:
-            raise ValueError("bits must be >= 1 and magnitude_bits >= 0")
-        if not self.snr_db_grid or not all(math.isfinite(s) for s in self.snr_db_grid):
-            raise ValueError("snr_db_grid must be nonempty and finite")
-        if "gpc" in self.schemes and (not self.fdts_grid or min(self.fdts_grid) <= 0.0):
-            raise ValueError("fdts_grid must be nonempty and positive")
-        if self.trials < 2:
-            raise ValueError("trials must be >= 2 to report a standard error")
-        if self.discard < 2:
-            raise ValueError("discard must be >= 2 (the tracker needs two seed steps)")
-        if self.steps <= self.discard:
-            raise ValueError(f"steps ({self.steps}) must exceed discard ({self.discard})")
-
-    @property
-    def window(self) -> int:
-        """Number of measured channel uses per trial."""
-        return self.steps - self.discard
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Unit tests for the temporally correlated channel models and trace I/O."""
 
+import importlib
+import json
 import math
 import os
 import subprocess
@@ -24,7 +26,8 @@ from grasspc import (
     sequence_correlation,
 )
 from grasspc.channel import _ar1_traces, _innovations, ar1_from_innovations
-from grasspc.cli import _traces
+from grasspc.cli import COMMANDS, EXIT_CONFIG
+from grasspc.commands import _traces
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +127,70 @@ def test_cli_import_leaves_out_scipy_signal(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip().splitlines()[-1] == "[]"
+
+
+IMPORT_GUARD = """
+import configparser, json, sys
+import grasspc
+loaded = {"package": sorted(name for name in sys.modules if name.startswith("grasspc."))}
+import grasspc.cli
+validated = []
+for path in sys.argv[2:]:
+    sections = configparser.ConfigParser(interpolation=None)
+    sections.read(path, encoding="utf-8")
+    for command in sections.sections():
+        grasspc.cli.load_config(command, path, 0, None, "unused")
+        validated.append(command)
+loaded["validated"] = validated
+bad = sys.argv[1] + "/bad.ini"
+with open(bad, "w", encoding="utf-8") as fh:
+    fh.write("[mse]\\nbits = 3\\nmagnitude_bits = 3\\n")
+argv = ["mse", "--config", bad, "--seed", "0", "--out", sys.argv[1] + "/out.csv"]
+loaded["exit"] = grasspc.cli.main(argv)
+loaded["numpy"] = sorted(name for name in sys.modules if name.split(".")[0] == "numpy")
+loaded["cli"] = sorted(name for name in sys.modules if name.startswith("grasspc."))
+print(json.dumps(loaded))
+"""
+
+
+def test_config_validation_imports_no_numpy(tmp_path):
+    # ``import grasspc`` loads no submodule, and the CLI validates every
+    # section of the shipped configs, and rejects a bad one, on the
+    # standard library alone.
+    import grasspc
+
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+    src = str(Path(grasspc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path), *map(str, configs)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout.strip().splitlines()[-1])
+    assert loaded["package"] == []
+    assert configs and set(loaded["validated"]) == set(COMMANDS)
+    assert loaded["exit"] == EXIT_CONFIG
+    assert loaded["numpy"] == []
+    assert loaded["cli"] == ["grasspc.cli", "grasspc.params"]
+
+
+def test_package_exports_resolve_to_their_modules():
+    # The lazy package namespace lists exactly the submodules' public names,
+    # and each resolves to the object the submodules hold.
+    import grasspc
+
+    modules = [
+        importlib.import_module(f"grasspc.{name}")
+        for name in ("geometry", "channel", "codebooks", "codec", "analysis", "mumimo")
+    ]
+    assert sorted(grasspc.__all__) == sorted({n for m in modules for n in m.__all__})
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(grasspc, name) is getattr(module, name), name
+    assert set(grasspc.__all__) <= set(dir(grasspc))
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        grasspc.nope  # noqa: B018
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from grasspc import (
     GpcState,
     GrassmannPoint,
     ShapeGainCodebook,
+    UNIT_NORM_TOL,
     TrackingLostError,
     best_packing,
     chordal_distance,
@@ -48,6 +49,7 @@ from grasspc import (
     write_index_stream,
 )
 from grasspc import codec
+from grasspc.channel import _ar1_traces, _innovations
 from grasspc.codec import _along, _Book, _pick, _pick_free
 from grasspc.geometry import _chord_cols, _cols, _inner, _row
 
@@ -495,6 +497,16 @@ def test_read_index_stream_rejects_bad_magnitude_counts(tmp_path, n_m, message):
     path.write_text("5\n")
     with pytest.raises(ValueError, match=f"n_m must be {message}"):
         read_index_stream(path, n_m)
+
+
+def test_index_stream_round_trip_with_one_magnitude_level(tmp_path):
+    # With n_m = 1 the wire form is the direction index itself.
+    cb = small_codebook(n_m=1)
+    enc = encode_trace(gen_ar1(Ar1Params(n=4, beta=0.01, steps=40, seed=19)).points, cb)
+    path = tmp_path / "stream.txt"
+    write_index_stream(path, enc.indices, 1)
+    assert path.read_text().split() == [str(i.direction_index) for i in enc.indices]
+    assert read_index_stream(path, 1) == enc.indices
 
 
 @pytest.mark.parametrize("line, message", [("-3", "nonnegative"), ("2.0", "invalid literal")])
@@ -1005,6 +1017,49 @@ def test_batched_search_matches_sessions_alone(sessions, seed, n, n_d, n_m, chun
                 for field, got in zip(one, batch):
                     if isinstance(field, np.ndarray):
                         assert got[b].tobytes() == field[0].tobytes()
+
+
+def assert_unit_rows(rows):
+    norms = np.sqrt(np.sum(rows.real**2 + rows.imag**2, axis=-1))
+    assert np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(
+    sessions=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3, 4]),
+    n_d=st.sampled_from([4, 16, 64]),
+    n_m=st.sampled_from([1, 4, 8]),
+    hi=st.sampled_from([0.3, 1.0]),
+    beta=st.sampled_from([0.001, 0.01, 0.04]),
+    mode=st.sampled_from(["exact", "memoryless"]),
+)
+@example(sessions=16, seed=0, n=4, n_d=64, n_m=8, hi=1.0, beta=0.01, mode="exact")
+@example(sessions=16, seed=0, n=4, n_d=64, n_m=8, hi=1.0, beta=0.01, mode="memoryless")
+def test_batched_decoder_replays_each_session_alone(sessions, seed, n, n_d, n_m, hi, beta, mode):
+    # The decoder steps a batch as the encoder does: its estimates are the
+    # encoder's, byte for byte, and those of each session decoded alone, and
+    # every estimate is a unit vector.
+    rng = np.random.default_rng(seed)
+    words = unit_rows(rng.standard_normal((n_d, n)) + 1j * rng.standard_normal((n_d, n)))
+    cb = ShapeGainCodebook(DirectionCodebook(words), uniform_magnitude(n_m, 0.0, hi))
+    params = Ar1Params(n=n, beta=beta, steps=40, seed=0)
+    seeds = rng.integers(0, 2**63, sessions).tolist()
+    rows = np.array([t.normalized for t in _ar1_traces(params, _innovations(params, seeds))])
+    run = codec._encode_rows(rows, cb, mode)
+    starts = [codec._seed(r[0], r[1], cb, mode) for r in rows]
+    received = [tuple(step) for step in run.pairs.transpose(1, 2, 0)]  # (d, m) of (B,) each
+    batch = codec._run(cb, codec._stack(starts), 2, pairs=received)
+    assert batch.estimates.tobytes() == run.estimates.tobytes()
+    assert batch.state.tobytes() == run.state.tobytes()
+    for b, start in enumerate(starts):
+        alone = codec._run(cb, start, 2, pairs=run.pairs[b].tolist())
+        assert alone.estimates[0].tobytes() == run.estimates[b].tobytes()
+        assert alone.state[0].tobytes() == run.state[b].tobytes()
+    assert_unit_rows(run.estimates)
+    assert_unit_rows(run.predictions)
+    assert_unit_rows(codec._encode_rows(rows, cb, mode, True, reseed=mode).estimates)
 
 
 FAULTS = """

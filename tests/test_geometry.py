@@ -1,6 +1,7 @@
 """Unit tests for the manifold primitives: distances, log/exp maps,
 parallel transport, prediction, and their exact identities."""
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -25,7 +26,15 @@ from grasspc import (
     sequence_correlation,
 )
 from grasspc.codebooks import _harvest_open_rows
-from grasspc.geometry import PHASE_EQ_TOL, RHO_MIN, _chord_cols, _cols, _inner
+from grasspc.geometry import (
+    PHASE_EQ_TOL,
+    RHO_MIN,
+    _chord_cols,
+    _cols,
+    _inner,
+    _offset,
+    _sqnorm,
+)
 
 
 def basis(n, k):
@@ -149,6 +158,37 @@ def test_distance_accurate_for_nearly_coincident_lines():
         )
         d = chordal_distance(base, y)
         assert abs(d - np.sin(angle)) < 1e-9 * np.sin(angle) + 1e-16
+
+
+def test_chord_near_branch_switches_at_its_threshold():
+    # _chord_cols takes the residual |rho| ||y / rho - x|| where 1 - |rho|^2
+    # <= 1e-8, and sqrt(1 - |rho|^2) above.  For pairs x = e_0, y = (c, s)
+    # near the threshold, 1 - |rho|^2 = 1 - fl(c^2) is a multiple of 2^-53 and
+    # 1e-8 is not, so the pairs nearest the threshold lie just below and just
+    # above it; among those whose two formulas differ in the last bits, the
+    # nearest on each side shows which branch ran, alone and in a batch.
+    c0 = math.sqrt(1.0 - 1e-8)
+    nearest = {}
+    for k in range(-64, 65):
+        c = c0 + k * 2.0**-53
+        x, y = ([1.0, 0.0], [0.0, 0.0]), ([c, math.sqrt((1.0 - c) * (1.0 + c))], [0.0, 0.0])
+        rho = _inner(*x, *y)
+        aa = rho[0] * rho[0] + rho[1] * rho[1]
+        residual = math.sqrt(aa) * math.sqrt(_sqnorm(*_offset(*x, *y, *rho, aa)))
+        root = math.sqrt(1.0 - aa)
+        if residual == root:
+            continue
+        below = 1.0 - aa <= 1e-8
+        gap = abs((1.0 - aa) - 1e-8)
+        if below not in nearest or gap < nearest[below][0]:
+            nearest[below] = (gap, x, y, residual if below else root)
+    assert sorted(nearest) == [False, True]
+    (_, xb, yb, near), (_, xa, ya, far) = nearest[True], nearest[False]
+    assert nearest[True][0] < 1e-15 and nearest[False][0] < 1e-15
+    assert _chord_cols(*xb, *yb, _inner(*xb, *yb)) == near
+    assert _chord_cols(*xa, *ya, _inner(*xa, *ya)) == far
+    batch = [[np.array(pair) for pair in zip(b, a)] for b, a in zip((*xb, *yb), (*xa, *ya))]
+    assert _chord_cols(*batch, _inner(*batch)).tolist() == [near, far]
 
 
 def test_distance_dimension_mismatch():
@@ -399,10 +439,14 @@ def test_sequence_self_correlation_at_zero_lag():
 
 
 def test_sequence_correlation_requires_overlap():
+    # Lags 5 and -5 leave exactly zero pairs; lags 4 and -4 leave one.
     rng = rng_stream(18)
     xs = [random_point(3, rng) for _ in range(5)]
-    with pytest.raises(ValueError, match="overlap"):
-        sequence_correlation(xs, xs, 7)
+    for lag in (7, 5, -5):
+        with pytest.raises(ValueError, match="overlap"):
+            sequence_correlation(xs, xs, lag)
+    assert sequence_correlation(xs, xs, 4) == chordal_distance(xs[0], xs[4])
+    assert sequence_correlation(xs, xs, -4) == chordal_distance(xs[4], xs[0])
 
 
 def test_sequence_correlation_matches_isotropic_mean_distance():
