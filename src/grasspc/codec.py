@@ -9,18 +9,22 @@ implementation of that update.  It steps B independent sessions at once on
 real and imaginary float columns (Python floats when B = 1, (B,) arrays
 otherwise): the encoder, the decoder, the closed-loop training harvest and
 every experiment run it, the experiments with all their sessions in one
-batch (through ``_encode_rows``).  A batch's joint search computes into a
-workspace that ``_run``'s ``_Book`` keeps, so no step allocates its large
-temporaries; one session's search is a few whole-array products on the
-book's one-session product table, and its geodesic step runs on floats
-inline.  Points are built only where a public function takes or returns
-them.
+batch (through ``_encode_rows``).  A batch's joint search first screens
+every session with two BLAS products; a session whose screen leaves exactly
+one candidate within a proven error margin takes it, and the fixed-order
+search re-scores only the others.  Both compute into a workspace that
+``_run``'s ``_Book`` keeps, so no step allocates its large temporaries; one
+session's search is a few whole-array products on the book's one-session
+product table, and its geodesic step runs on floats inline.  Points are
+built only where a public function takes or returns them.
 
 Determinism.  Every quantity of the update (the prediction, the codeword
 reconstruction, the geodesic step, norms, chordal errors and the joint- and
 direction-only search scores) uses only elementwise + - * / and sqrt in a
 fixed order, with sums over coordinates run left to right and no BLAS call
-or complex ufunc multiply.  So, byte for byte:
+or complex ufunc multiply.  The batch screen is the one BLAS step, and its
+margin covers its rounding in any summation order: BLAS may change which
+sessions the fixed-order search re-scores, never a pick.  So, byte for byte:
 
 * a session's indices, estimates, errors and re-inits are the same alone or
   in a batch of any size, and whatever chunk a batch is split into;
@@ -203,12 +207,37 @@ def _pair(index: CodewordIndex, n_d: int, n_m: int) -> tuple[int, int]:
 # coordinate part when B = 1, and a (B,) array slot otherwise.
 
 #: Larger encoder batches run this many sessions per kernel call, which
-#: bounds the search's workspace (its largest buffer is the (N_d, N_m, B)
-#: scores); one session skips the workspace.  The bits depend on neither.
+#: bounds the search's workspace (its largest buffers are the scores, N_d N_m
+#: per session); one session skips the workspace.  The bits depend on neither.
 _CHUNK = 256
+
+# The batch screen (see _screen) scores every (d, m) from g = C^H p and
+# C^H (o - rho p), both taken by one BLAS product, and keeps its first maximum
+# only when no other entry is within _MARGIN of it.  Why that cannot change a
+# pick: let u = 2^-53 and every input be a unit vector within FILE_NORM_TOL,
+# so |g|, |h|, |rho| and the exact |s| are below 1.01 (s is o's component
+# along a unit vector orthogonal to p, so |rho|^2 + |s|^2 <= ||o||^2).  A part
+# of g or h is a real dot product of length 2n, off by at most 2nu in any
+# summation order or blocking, fixed order included.  So den = ||c||^2 - |g|^2
+# and the numerator h - g rho (the screen's C^H (o - rho p), whose o - rho p
+# is off by under 10u) are off by at most 8nu each, and where
+# den >= _DEN_FLOOR = delta (which an error of 8nu << delta does not move),
+# s by at most 8nu/sqrt(delta) + 1.01 (8nu/(2 delta) + 3u) < 4.2nu/delta.
+# A score |cos rho + sin s|^2 then moves by at most 2 * 1.01 * 4.2nu/delta
+# plus 20u of its own rounding: under 9.5e-12 n, which for n <= _SCREEN_MAX_N
+# is below _MARGIN/4, for the fixed-order score and the screened one alike.
+# So they differ by less than _MARGIN/2, and the fixed-order first maximum k
+# scores S_k > F_k - _MARGIN/2 >= F_j - _MARGIN/2 > S_j - _MARGIN for every j:
+# it is within _MARGIN of the screened maximum.  A session with no other entry
+# that close and no den below delta therefore has the screen's pick as its
+# fixed-order pick.  Wider points skip the screen.
+_DEN_FLOOR = 1e-4
+_MARGIN = 1e-9
+_SCREEN_MAX_N = 16
 
 
 _Space = namedtuple("_Space", "re im t u den score")
+_Screen = namedtuple("_Screen", "x gh t u feat score")
 
 
 class _Book:
@@ -222,7 +251,13 @@ class _Book:
     pair 0 is cr and pair 1 is (ci, -ci, ci, -ci), and ``gather`` picks from
     a point's flat (pr, pi, or, oi) the (2, n, 4, 1) operand they multiply:
     (pr, pi, or, oi) and (pi, pr, oi, or), so that a coordinate's pair sum is
-    its term of g and h, as :func:`_inner` forms it."""
+    its term of g and h, as :func:`_inner` forms it.
+
+    A batch's screen takes its products from the real form of C^H,
+    ``conj_t``, with [pr pi] @ conj_t = (gr, gi), and its scores from
+    ``trig``, each level's (cos^2, sin^2, 2 sin cos).  Its BLAS rounding may
+    only change which sessions the fixed-order search re-scores, never a
+    pick."""
 
     def __init__(self, codebook: ShapeGainCodebook):
         entries = codebook.directions.entries
@@ -238,16 +273,34 @@ class _Book:
         self.cos = [math.cos(m) for m in levels]
         self.sin = [math.sin(m) for m in levels]
         self.cos_row, self.sin_row = np.array(self.cos), np.array(self.sin)
-        self._space = None
+        self.conj_t = np.array((np.vstack((cr, ci)), np.vstack((-ci, cr))))  # (2, 2n, N_d)
+        self.trig = np.array((self.cos_row**2, self.sin_row**2, 2.0 * self.sin_row * self.cos_row))
+        self._space = self._screen = None
 
     def space(self, width: int) -> _Space:
-        """The batched search's buffers for ``width`` sessions: (re, im) planes
-        (p/o, N_d, B) of g and h, two for terms, ``den`` and the scores."""
-        if self._space is None or self._space.den.shape[1] != width:
+        """The fixed-order search's buffers for ``width`` sessions: (re, im)
+        planes (p/o, N_d, B) of g and h, two for terms, ``den`` and the
+        scores.  They are made for the widest batch asked for so far, and a
+        narrower one (the sessions the screen leaves) gets views of them."""
+        if self._space is None or self._space.den.shape[1] < width:
             n_d = len(self.sq)
             self._space = _Space(*np.empty((4, 2, n_d, width)), np.empty((n_d, width)),
                                  np.empty((n_d, self.n_m, width)))
-        return self._space
+        if self._space.den.shape[1] == width:
+            return self._space
+        return _Space(*(buf[..., :width] for buf in self._space))
+
+    def screen(self, width: int) -> _Screen:
+        """The screen's buffers for ``width`` sessions: the rows [pr pi] of p
+        and of y = o - rho p (p/y, B, 2n), their products with C^H (re/im,
+        p/y, B, N_d), two (B, N_d) planes, the features (3, B, N_d) and the
+        scores (B, N_d N_m)."""
+        if self._screen is None or len(self._screen.t) != width:
+            two_n, n_d = self.conj_t.shape[1], len(self.sq)
+            self._screen = _Screen(np.empty((2, width, two_n)), np.empty((2, 2, width, n_d)),
+                                   *np.empty((2, width, n_d)), np.empty((3, width, n_d)),
+                                   np.empty((width, n_d * self.n_m)))
+        return self._screen
 
     def codeword(self, d):
         if type(d) is int:
@@ -319,17 +372,79 @@ def _pick(book: _Book, predicted, observed, rho, chord):
     """The joint search: per session, the (d, m) whose geodesic endpoint
     cos(m) p + sin(m) s_d is nearest the observation, i.e. the first maximum
     of |cos(m) rho + sin(m) s_d|^2 in serialized order.  A numerically zero
-    error tangent short-circuits to (0, 0)."""
-    if type(chord) is float and chord < ZERO_TANGENT_TOL:
-        return 0, 0
-    s = _projections(book, predicted, observed, rho)
+    error tangent short-circuits to (0, 0).  A batch takes each session's
+    pick from :func:`_screen` where it decides one, and from the fixed-order
+    :func:`_search` of the others."""
     if type(chord) is float:  # (2, N_d, N_m) parts, one whole-array product each
+        if chord < ZERO_TANGENT_TOL:
+            return 0, 0
+        s = _projections(book, predicted, observed, rho)
         inner = s[:, :, None] * book.sin_row
         inner += np.multiply.outer(rho, book.cos_row)[:, None]
         inner *= inner
         return divmod(int((inner[0] + inner[1]).argmax()), book.n_m)
-    # The same operations, one level at a time into the workspace.
-    w = book.space(len(chord))
+    zero = chord < ZERO_TANGENT_TOL
+    if len(book.cr) <= _SCREEN_MAX_N:
+        flat, unsure = _screen(book, predicted, observed, rho)
+        unsure &= ~zero
+    else:  # beyond the margin's proof
+        flat, unsure = np.zeros(len(chord), dtype=np.intp), ~zero
+    if unsure.any():
+        at = np.flatnonzero(unsure)
+        sub = [[x[at] for x in part] for part in (*predicted, *observed)]
+        flat[at] = _search(book, sub[:2], sub[2:], (rho[0][at], rho[1][at]))
+    flat[zero] = 0
+    return divmod(flat, book.n_m)
+
+
+def _screen(book: _Book, predicted, observed, rho):
+    """Every session's joint search scores from two BLAS products, as the
+    first maximum's serialized index and whether the screen cannot vouch for
+    it: a second entry within ``_MARGIN`` of the maximum, or a codeword's
+    squared projected norm below ``_DEN_FLOOR`` (see the bound above
+    ``_DEN_FLOOR``).  Each score is [|rho|^2, |s|^2, Re(rho^* s)] @ (cos^2,
+    sin^2, 2 sin cos) of its level, with s = C^H (o - rho p) / sqrt(max(den,
+    _DEN_FLOOR)), in the book's screen workspace."""
+    rr, ri = rho
+    width = len(rr)
+    w = book.screen(width)
+    rows = w.x.reshape(2, width, 2, -1).transpose(0, 2, 3, 1)  # (p/y, re/im, n, B)
+    rows[...] = (predicted, observed)
+    (pr, pi), (yr, yi) = rows
+    yr -= rr * pr - ri * pi  # y = o - rho p, so that C^H y = h - g rho
+    yi -= rr * pi + ri * pr
+    np.matmul(w.x.reshape(2 * width, -1), book.conj_t, out=w.gh.reshape(2, 2 * width, -1))
+    (gr, sr), (gi, si) = w.gh
+    den, scale = w.t, w.u
+    np.add(np.multiply(gr, gr, out=den), np.multiply(gi, gi, out=scale), out=den)
+    np.subtract(book.sq, den, out=den)
+    low = den.min(axis=1) < _DEN_FLOOR if den.min() < _DEN_FLOOR else False
+    np.sqrt(np.maximum(den, _DEN_FLOOR, out=scale), out=scale)
+    sr /= scale
+    si /= scale
+    aa, ss, cross = w.feat
+    rr, ri = rr[:, None], ri[:, None]
+    aa[...] = rr * rr + ri * ri
+    t = den  # den is not needed again
+    np.add(np.multiply(sr, sr, out=ss), np.multiply(si, si, out=t), out=ss)
+    np.add(np.multiply(sr, rr, out=cross), np.multiply(si, ri, out=t), out=cross)
+    score = w.score
+    np.matmul(w.feat.reshape(3, -1).T, book.trig, out=score.reshape(-1, book.n_m))
+    at = np.arange(width)
+    flat = score.argmax(axis=1)
+    top = score[at, flat]
+    score[at, flat] = -np.inf
+    unsure = ~(score[at, score.argmax(axis=1)] < top - _MARGIN)  # NaN is unsure
+    score[at, flat] = top
+    return flat, unsure | low
+
+
+def _search(book: _Book, predicted, observed, rho):
+    """The batched joint search in fixed order: the one-session products of
+    :func:`_pick`, one level at a time into the workspace.  Returns each
+    session's first maximum as a serialized index."""
+    s = _planes(book, predicted, observed, rho)
+    w = book.space(len(rho[0]))
     score, (a, b) = w.score, w.t
     cos_rho = book.cos_row[:, None] * rho[0], book.cos_row[:, None] * rho[1]  # (N_m, B) each
     for m, (sin, cos_rr, cos_ri) in enumerate(zip(book.sin, *cos_rho)):
@@ -338,9 +453,7 @@ def _pick(book: _Book, predicted, observed, rho, chord):
             part += cos_rho
             part *= part
         np.add(a, b, out=score[:, m])
-    flat = score.reshape(-1, score.shape[-1]).argmax(axis=0)
-    flat[chord < ZERO_TANGENT_TOL] = 0
-    return divmod(flat, book.n_m)
+    return score.reshape(-1, score.shape[-1]).argmax(axis=0)
 
 
 def _free_arc(cross: float, ss: float, bb: float, chord: float):

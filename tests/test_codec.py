@@ -51,7 +51,7 @@ from grasspc import (
 from grasspc import codec
 from grasspc.channel import _ar1_traces, _innovations
 from grasspc.codec import _along, _Book, _pick, _pick_free
-from grasspc.geometry import _chord_cols, _cols, _inner, _row
+from grasspc.geometry import _chord_cols, _cols, _inner, _row, _unit
 
 
 def small_codebook(n=4, n_d=8, n_m=4, hi=0.6, seed=0):
@@ -968,13 +968,24 @@ def batch_columns(rows):
     n_d=st.sampled_from([2, 8, 64]),
     n_m=st.sampled_from([1, 4, 8]),
     chunk=st.integers(1, 300),
+    margin=st.just(codec._MARGIN),
 )
-@example(sessions=300, seed=1, n=4, n_d=64, n_m=8, chunk=256)
-@example(sessions=2, seed=2, n=3, n_d=8, n_m=4, chunk=1)
-@example(sessions=3, seed=3, n=2, n_d=8, n_m=1, chunk=2)
-@example(sessions=5, seed=4, n=8, n_d=64, n_m=1, chunk=3)
-@example(sessions=4, seed=5, n=8, n_d=2, n_m=8, chunk=4)
-def test_batched_search_matches_sessions_alone(sessions, seed, n, n_d, n_m, chunk):
+@example(sessions=300, seed=1, n=4, n_d=64, n_m=8, chunk=256, margin=codec._MARGIN)
+@example(sessions=2, seed=2, n=3, n_d=8, n_m=4, chunk=1, margin=codec._MARGIN)
+@example(sessions=3, seed=3, n=2, n_d=8, n_m=1, chunk=2, margin=codec._MARGIN)
+@example(sessions=5, seed=4, n=8, n_d=64, n_m=1, chunk=3, margin=codec._MARGIN)
+@example(sessions=4, seed=5, n=8, n_d=2, n_m=8, chunk=4, margin=codec._MARGIN)
+@example(sessions=40, seed=6, n=4, n_d=64, n_m=32, chunk=16, margin=codec._MARGIN)
+@example(sessions=30, seed=7, n=3, n_d=8, n_m=8, chunk=30, margin=10.0)  # every session verified
+@example(sessions=6, seed=8, n=17, n_d=8, n_m=4, chunk=6, margin=codec._MARGIN)  # past the screen's n
+def test_batched_search_matches_sessions_alone(sessions, seed, n, n_d, n_m, chunk, margin):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_MARGIN", margin)
+        patch.setattr(codec, "_CHUNK", chunk)
+        check_batched_search(sessions, seed, n, n_d, n_m, margin)
+
+
+def check_batched_search(sessions, seed, n, n_d, n_m, margin):
     cb, predicted, observed = search_case(seed, sessions, n, n_d, n_m)
     book = _Book(cb)
     alone = []
@@ -996,6 +1007,11 @@ def test_batched_search_matches_sessions_alone(sessions, seed, n, n_d, n_m, chun
             chord = _chord_cols(*p, *o, rho)
             if width > 1:
                 assert not np.array(codec._projections(book, p, o, rho))[:, 0, 1].any()  # collapsed
+                # Session 1 predicts codeword 0, whose den is below the
+                # screen's floor: the fixed-order search must re-score it.
+                unsure = codec._screen(book, p, o, rho)[1]
+                assert unsure[1]
+                assert unsure.all() or margin < 1.0
             batch_d, batch_m = _pick(book, p, o, rho, chord)
             assert batch_d.tolist() == d[:width].tolist()
             assert batch_m.tolist() == m[:width].tolist()
@@ -1003,20 +1019,201 @@ def test_batched_search_matches_sessions_alone(sessions, seed, n, n_d, n_m, chun
             assert batch_free[0].tolist() == free_d[:width].tolist()
             assert batch_free[1].tobytes() == cos[:width].tobytes()
             assert batch_free[2].tobytes() == sin[:width].tobytes()
-    # The whole encoder over short traces, split into chunks of ``chunk``
+    # The whole encoder over short traces, split into chunks of ``_CHUNK``
     # sessions; session 0's trace stands still.
     steps = np.arange(5)[None, :, None]
     rows = unit_rows(predicted[:, None] + 0.05 * steps * (observed - predicted)[:, None])
     rows[0] = predicted[0]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(codec, "_CHUNK", chunk)
-        for free_magnitude in (False, True):
-            batch = codec._encode_rows(rows, cb, "exact", free_magnitude, "exact")
-            for b in range(sessions):
-                one = codec._encode_rows(rows[b : b + 1], cb, "exact", free_magnitude, "exact")
-                for field, got in zip(one, batch):
-                    if isinstance(field, np.ndarray):
-                        assert got[b].tobytes() == field[0].tobytes()
+    for free_magnitude in (False, True):
+        batch = codec._encode_rows(rows, cb, "exact", free_magnitude, "exact")
+        for b in range(sessions):
+            one = codec._encode_rows(rows[b : b + 1], cb, "exact", free_magnitude, "exact")
+            for field, got in zip(one, batch):
+                if isinstance(field, np.ndarray):
+                    assert got[b].tobytes() == field[0].tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3, 4, 8, 16]),
+    n_m=st.sampled_from([1, 8, 32]),
+)
+@example(seed=0, n=16, n_m=32)
+def test_screened_scores_are_within_the_margin(seed, n, n_m):
+    # Predictions near codewords (den down to the screen's floor and below)
+    # and observations 1e-7 to 1 from them: wherever den >= _DEN_FLOOR, the
+    # screened score of every (d, m) is within a sixteenth of the margin of
+    # the fixed-order score, which the screen's bound needs within a half.
+    rng = np.random.default_rng(seed)
+    gauss = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # noqa: E731
+    sessions, n_d = 24, 16
+    words = unit_rows(gauss(n_d, n))
+    cb = ShapeGainCodebook(DirectionCodebook(words), uniform_magnitude(n_m, 0.0, 1.2))
+    near = words[rng.integers(0, n_d, sessions)]
+    predicted = unit_rows(near + 10.0 ** rng.uniform(-2.5, 0.0, (sessions, 1)) * gauss(sessions, n))
+    observed = unit_rows(predicted + 10.0 ** rng.uniform(-7.0, 0.0, (sessions, 1)) * gauss(sessions, n))
+    book = _Book(cb)
+    p, o = batch_columns(predicted), batch_columns(observed)
+    rho = _inner(*p, *o)
+    codec._screen(book, p, o, rho)
+    screened = book.screen(sessions)
+    codec._search(book, p, o, rho)
+    fixed = book.space(sessions).score.transpose(2, 0, 1)  # (B, N_d, N_m)
+    kept = 1.0 - np.abs(predicted.conj() @ words.T) ** 2 >= codec._DEN_FLOOR  # den, (B, N_d)
+    assert kept.any()
+    gap = np.abs(screened.score.reshape(sessions, n_d, n_m) - fixed)[kept]
+    assert gap.max() <= codec._MARGIN / 16
+
+
+def tie_case(kind: str, sessions: int, seed: int):
+    """A codebook and ``sessions`` (prediction, observation) rows on which
+    two entries tie in exact arithmetic, so that rounding alone orders them.
+    ``symmetric``: codewords 0 and 1 lie mirror-imaged about the plane of
+    the prediction and the observation.  ``near``: codeword 0 lies 3e-5 from
+    every prediction (den about 1e-9), and its projection there is
+    codeword 1's direction."""
+    rng = np.random.default_rng(seed)
+    gauss = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # noqa: E731
+    e = np.linalg.qr(gauss(4, 4))[0].T  # e[k] = U e_k for a random unitary U
+    phase = lambda: np.exp(2j * np.pi * rng.uniform(size=(sessions, 1)))  # noqa: E731
+    if kind == "symmetric":
+        words = np.array([e[1], e[2], e[3], (e[1] - e[2]) / math.sqrt(2.0)])
+        beta = rng.uniform(0.3, 1.2, (sessions, 1))
+        predicted = phase() * (np.cos(beta) * e[0] + np.sin(beta) * phase() * e[3])
+        away = np.repeat((e[1:2] + e[2:3]) / math.sqrt(2.0), sessions, axis=0)
+    else:
+        words = np.array([unit_rows(e[0] + 3e-5 * e[1]), e[1], e[2], e[3]])
+        predicted = phase() * e[0]
+        gamma = rng.uniform(0.0, 0.3, (sessions, 1))
+        away = np.cos(gamma) * e[1] + np.sin(gamma) * e[2]
+    alpha = rng.uniform(0.05, 0.5, (sessions, 1))
+    observed = phase() * (np.cos(alpha) * predicted + np.sin(alpha) * away)
+    cb = ShapeGainCodebook(DirectionCodebook(words), uniform_magnitude(8, 0.0, 1.2))
+    return cb, unit_rows(predicted), unit_rows(observed)
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "near"])
+def test_screen_leaves_rounding_ties_to_the_fixed_order(kind):
+    # Exact-arithmetic ties (symmetric), and ties through a codeword whose
+    # den is far below the screen's floor (near), which the screen scores
+    # with errors far above its margin: every session must take the pick of
+    # the fixed-order search, batched or alone.
+    sessions = 64
+    cb, predicted, observed = tie_case(kind, sessions, seed=5)
+    book = _Book(cb)
+    p, o = batch_columns(predicted), batch_columns(observed)
+    rho = _inner(*p, *o)
+    chord = _chord_cols(*p, *o, rho)
+    d, m = _pick(book, p, o, rho, chord)
+    assert (d * book.n_m + m).tolist() == codec._search(book, p, o, rho).tolist()
+    assert set(d.tolist()) <= {0, 1}
+    for b, (p_row, o_row) in enumerate(zip(predicted, observed)):
+        q, x = _cols(p_row), _cols(o_row)
+        rho_b = _inner(*q, *x)
+        assert _pick(book, q, x, rho_b, _chord_cols(*q, *x, rho_b)) == (d[b], m[b])
+
+
+def test_zero_tangent_threshold_in_the_joint_search():
+    # A chord below ZERO_TANGENT_TOL short-circuits to (0, 0); at the
+    # threshold and above it the search runs, alone and in a batch alike.
+    cb = small_codebook()
+    book = _Book(cb)
+    x = random_point(4, rng_stream(4))
+    y = exp_map(x, reconstruct_codeword(CodewordIndex(3, 2), x, cb))
+    p, o = _cols(x.coords), _cols(y.coords)
+    rho = _inner(*p, *o)
+    searched = _pick(book, p, o, rho, _chord_cols(*p, *o, rho))
+    assert searched == (3, 2)
+    chords = [float(np.nextafter(ZERO_TANGENT_TOL, 0.0)), ZERO_TANGENT_TOL,
+              float(np.nextafter(ZERO_TANGENT_TOL, 1.0))]
+    expected = [(0, 0), searched, searched]
+    assert [_pick(book, p, o, rho, chord) for chord in chords] == expected
+    cols = lambda part: [np.full(3, v) for v in part]  # noqa: E731
+    d, m = _pick(book, [cols(part) for part in p], [cols(part) for part in o],
+                 tuple(np.full(3, v) for v in rho), np.array(chords))
+    assert list(zip(d.tolist(), m.tolist())) == expected
+
+
+def test_batched_along_at_its_thresholds():
+    # Sessions 0-2 predict (1, t, 0, 0) for t just below, at and just above
+    # PROJECTION_COLLAPSE_TOL, where codeword 0 = e_0 projects to a norm of
+    # exactly t; sessions 3-5 step with sin just below, at and just above 0
+    # from a prediction that _unit would change.  Only a kept projection with
+    # sin > 0 leaves the prediction, in a batch and alone.
+    words = best_packing(4, 8, draws=1000).entries.copy()
+    words[0] = np.eye(4)[0]
+    book = _Book(ShapeGainCodebook(DirectionCodebook(words), uniform_magnitude(4, 0.0, 1.2)))
+    tol = PROJECTION_COLLAPSE_TOL
+    q = np.array([0.5, 0.5, 0.5, 0.5 + 1e-15], dtype=np.complex128)
+    assert np.array(_unit(*_cols(q))).tobytes() != np.array(_cols(q)).tobytes()
+    tiny = math.ulp(0.0)
+    sessions = [
+        *((np.array([1.0, t, 0.0, 0.0], dtype=np.complex128), 0, *book.level(2))
+          for t in (float(np.nextafter(tol, 0.0)), tol, float(np.nextafter(tol, 1.0)))),
+        *((q, 1, 1.0, sin) for sin in (-tiny, 0.0, tiny)),
+    ]
+    moves = [False, True, True, False, False, True]
+    rows = np.array([s[0] for s in sessions])
+    d, cos, sin = (np.array([s[k] for s in sessions]) for k in (1, 2, 3))
+    batch = _along(book, batch_columns(rows), d, cos, sin)
+    got = np.array(batch[0]).T + 1j * np.array(batch[1]).T
+    for b, (row, d_b, cos_b, sin_b) in enumerate(sessions):
+        assert (got[b].tobytes() != row.tobytes()) == moves[b]
+        alone = _along(book, _cols(row), int(d_b), float(cos_b), float(sin_b))
+        assert _row(*alone).tobytes() == got[b].tobytes()
+
+
+@pytest.mark.parametrize("scale, lost", [(1.0 - 1e-5, True), (1.0 + 1e-5, False)])
+def test_cut_locus_guard_fires_at_rho_min_through_the_codec(scale, lost):
+    # Session 2's observation at step 20 makes |rho| with its prediction just
+    # below or just above RHO_MIN.  Below it, the encoder loses track at that
+    # step alone and in a batch, or re-seeds that session once; above it,
+    # the session keeps tracking.
+    cb = ShapeGainCodebook(best_packing(4, 64), uniform_magnitude(8))
+    params = Ar1Params(n=4, beta=0.01, steps=40, seed=0)
+    rows = np.array([t.normalized for t in _ar1_traces(params, _innovations(params, [1, 2, 3, 4]))])
+    k = 20
+    predicted = codec._encode_rows(rows[2:3, :k], cb, "exact").state[0, 2]
+    v = np.random.default_rng(0).standard_normal(4) + 1j * np.random.default_rng(1).standard_normal(4)
+    v -= np.vdot(predicted, v) * predicted
+    v /= np.linalg.norm(v)
+    a = scale * RHO_MIN
+    rows[2, k] = a * predicted + math.sqrt(1.0 - a * a) * v
+    rr, ri = _inner(*_cols(predicted), *_cols(rows[2, k]))
+    assert (math.sqrt(rr * rr + ri * ri) <= RHO_MIN) == lost
+    points = [GrassmannPoint(r) for r in rows[2]]
+    if lost:
+        with pytest.raises(TrackingLostError) as alone:
+            encode_trace(points, cb)
+        with pytest.raises(TrackingLostError) as batch:
+            codec._encode_rows(rows, cb, "exact")
+        assert alone.value.step == batch.value.step == k
+    else:
+        assert encode_trace(points, cb).reinits == 0
+        codec._encode_rows(rows, cb, "exact")
+    run = codec._encode_rows(rows, cb, "exact", reseed="exact")
+    assert run.reinits.tolist() == [0, 0, int(lost), 0]
+    alone = encode_trace(points, cb, on_track_loss="reinit")
+    assert alone.reinits == int(lost)
+    assert (alone.indices[k - 2] is None) == lost
+
+
+def test_cut_locus_guard_fires_at_rho_min_exactly():
+    # Two seeds e_0 predict e_0 to the bit, so the observation
+    # (RHO_MIN, sqrt(1 - RHO_MIN^2), 0, 0) puts |rho| exactly at RHO_MIN,
+    # which the guard counts as lost, alone and in a batch.
+    cb = ShapeGainCodebook(best_packing(4, 64), uniform_magnitude(8))
+    e0 = np.eye(4, dtype=np.complex128)[0]
+    edge = np.array([RHO_MIN, math.sqrt(1.0 - RHO_MIN * RHO_MIN), 0.0, 0.0], dtype=np.complex128)
+    trace = np.array([e0, e0, edge, edge])
+    with pytest.raises(TrackingLostError) as alone:
+        encode_trace([GrassmannPoint(r) for r in trace], cb)
+    assert alone.value.step == 2 and alone.value.rho_abs == RHO_MIN
+    steady = np.array([e0, e0, e0, e0])
+    with pytest.raises(TrackingLostError) as batch:
+        codec._encode_rows(np.array([steady, trace, steady]), cb, "exact")
+    assert batch.value.step == 2 and batch.value.rho_abs == RHO_MIN
 
 
 def assert_unit_rows(rows):
@@ -1135,7 +1332,7 @@ def numpy_dispatch() -> str:
     ids=["blas-Haswell", "blas-Prescott", "numpy-baseline-simd"],
 )
 def test_decoder_replays_under_other_kernels(tmp_path, variable, value):
-    # The codec loop makes no BLAS call and no complex ufunc multiply, so a
+    # The decoder loop makes no BLAS call and no complex ufunc multiply, so a
     # decoder whose dot products run on another OpenBLAS kernel, or whose
     # numpy runs without its dispatched SIMD loops, must still replay the
     # stream bit for bit.  (Seed indices may still use BLAS; the state is
