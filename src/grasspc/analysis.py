@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebooks import DirectionCodebook, ShapeGainCodebook, _nearest
+from .params import _count
 
 __all__ = [
     "DistortionBounds",
@@ -49,8 +50,8 @@ class DistortionBounds:
 
 
 def _check_n(n: int) -> int:
-    if int(n) != n or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    if _count("n", n) < 2:
+        raise ValueError(f"n must be >= 2, got {n!r}")
     return int(n)
 
 
@@ -112,7 +113,7 @@ def gpc_distortion_bounds(n: int, codebook: ShapeGainCodebook) -> DistortionBoun
 def memoryless_lower_bound(n: int, size: int) -> float:
     """Fixed-rate quantization lower bound on G(n,1):
     ((n-1)/n) * size^(-1/(n-1))."""
-    n = _check_n(n)
+    n, size = _check_n(n), _count("size", size)
     if size < 1:
         raise ValueError(f"codebook size must be >= 1, got {size}")
     return (n - 1) / n * float(size) ** (-1.0 / (n - 1))

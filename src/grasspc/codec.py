@@ -10,13 +10,13 @@ real and imaginary float columns (Python floats when B = 1, (B,) arrays
 otherwise): the encoder, the decoder, the closed-loop training harvest and
 every experiment run it, the experiments with all their sessions in one
 batch (through ``_encode_rows``).  A batch's joint search first screens
-every session with two BLAS products; a session whose screen leaves exactly
-one candidate within a proven error margin takes it, and the fixed-order
-search re-scores only the others.  Both compute into a workspace that
-``_run``'s ``_Book`` keeps, so no step allocates its large temporaries; one
-session's search is a few whole-array products on the book's one-session
-product table, and its geodesic step runs on floats inline.  Points are
-built only where a public function takes or returns them.
+every session with two BLAS products, into a workspace ``_run``'s ``_Book``
+keeps; a session whose screen leaves exactly one candidate within a proven
+error margin takes it.  The fixed-order search scores the others, and one
+session, by the same few whole-array products on the book's product table,
+whose last axis is the sessions'.  One session's geodesic step runs on
+floats inline.  Points are built only where a public function takes or
+returns them.
 
 Determinism.  Every quantity of the update (the prediction, the codeword
 reconstruction, the geodesic step, norms, chordal errors and the joint- and
@@ -207,9 +207,12 @@ def _pair(index: CodewordIndex, n_d: int, n_m: int) -> tuple[int, int]:
 # coordinate part when B = 1, and a (B,) array slot otherwise.
 
 #: Larger encoder batches run this many sessions per kernel call, which
-#: bounds the search's workspace (its largest buffers are the scores, N_d N_m
-#: per session); one session skips the workspace.  The bits depend on neither.
+#: bounds the screen's workspace (its largest buffers are the scores, N_d N_m
+#: per session); one session skips the screen.  The bits depend on neither.
 _CHUNK = 256
+
+#: Floats of temporaries per slice of the fixed-order search (see _sliced).
+_SLICE_FLOATS = 1 << 16
 
 # The batch screen (see _screen) scores every (d, m) from g = C^H p and
 # C^H (o - rho p), both taken by one BLAS product, and keeps its first maximum
@@ -236,7 +239,6 @@ _MARGIN = 1e-9
 _SCREEN_MAX_N = 16
 
 
-_Space = namedtuple("_Space", "re im t u den score")
 _Screen = namedtuple("_Screen", "x gh t u feat score")
 
 
@@ -246,18 +248,19 @@ class _Book:
     the squared codeword norms (N_d,), and the magnitude levels' cosines and
     sines, taken once from libm.
 
-    One session's search is a few whole-array products on the (2, n, 4, N_d)
-    ``table``: for the outputs (gr, gi, hr, hi) of g = C^H p and h = C^H o,
-    pair 0 is cr and pair 1 is (ci, -ci, ci, -ci), and ``gather`` picks from
-    a point's flat (pr, pi, or, oi) the (2, n, 4, 1) operand they multiply:
-    (pr, pi, or, oi) and (pi, pr, oi, or), so that a coordinate's pair sum is
-    its term of g and h, as :func:`_inner` forms it.
+    The fixed-order search multiplies the (2, n, 4, N_d) ``table`` (with a
+    trailing axis for a batch's sessions) by the (2, n, 4, 1 [, B]) operand
+    ``gather`` picks from the points' rows (pr, pi, or, oi), (4n [, B]).
+    For the outputs (gr, gi, hr, hi) of g = C^H p and h = C^H o, pair 0 is
+    cr times (pr, pi, or, oi) and pair 1 is (ci, -ci, ci, -ci) times (pi,
+    pr, oi, or), so that a coordinate's pair sum is its term of g and h, as
+    :func:`_inner` forms it.
 
     A batch's screen takes its products from the real form of C^H,
     ``conj_t``, with [pr pi] @ conj_t = (gr, gi), and its scores from
-    ``trig``, each level's (cos^2, sin^2, 2 sin cos).  Its BLAS rounding may
-    only change which sessions the fixed-order search re-scores, never a
-    pick."""
+    ``trig``, each level's (cos^2, sin^2, 2 sin cos), into buffers the book
+    keeps (a chunk's largest).  Its BLAS rounding may only change which
+    sessions the fixed-order search re-scores, never a pick."""
 
     def __init__(self, codebook: ShapeGainCodebook):
         entries = codebook.directions.entries
@@ -275,20 +278,7 @@ class _Book:
         self.cos_row, self.sin_row = np.array(self.cos), np.array(self.sin)
         self.conj_t = np.array((np.vstack((cr, ci)), np.vstack((-ci, cr))))  # (2, 2n, N_d)
         self.trig = np.array((self.cos_row**2, self.sin_row**2, 2.0 * self.sin_row * self.cos_row))
-        self._space = self._screen = None
-
-    def space(self, width: int) -> _Space:
-        """The fixed-order search's buffers for ``width`` sessions: (re, im)
-        planes (p/o, N_d, B) of g and h, two for terms, ``den`` and the
-        scores.  They are made for the widest batch asked for so far, and a
-        narrower one (the sessions the screen leaves) gets views of them."""
-        if self._space is None or self._space.den.shape[1] < width:
-            n_d = len(self.sq)
-            self._space = _Space(*np.empty((4, 2, n_d, width)), np.empty((n_d, width)),
-                                 np.empty((n_d, self.n_m, width)))
-        if self._space.den.shape[1] == width:
-            return self._space
-        return _Space(*(buf[..., :width] for buf in self._space))
+        self._screen = None
 
     def screen(self, width: int) -> _Screen:
         """The screen's buffers for ``width`` sessions: the rows [pr pi] of p
@@ -301,11 +291,6 @@ class _Book:
                                    *np.empty((2, width, n_d)), np.empty((3, width, n_d)),
                                    np.empty((width, n_d * self.n_m)))
         return self._screen
-
-    def codeword(self, d):
-        if type(d) is int:
-            return self.re[d], self.im[d]
-        return self.cr[:, d], self.ci[:, d]
 
     def level(self, m):
         if type(m) is int:
@@ -320,52 +305,55 @@ def _projections(book: _Book, predicted, observed, rho):
 
         s_d = (h_d - g_d rho) / sqrt(||c_d||^2 - |g_d|^2),
 
-    and 0 where the projection collapses.  Returns s as (re; im): shape
-    (2, N_d) for one session, and for a batch two (N_d, B) planes of the
-    book's workspace, valid until its next search."""
-    if type(rho[0]) is not float:
-        return _planes(book, predicted, observed, rho)
+    and 0 where the projection collapses.  The points' parts are floats for
+    one session and (B,) arrays for a batch; s is returned as (re; im), shape
+    (2, N_d) for one session and (2, N_d, B) for a batch."""
     x = np.array([*predicted[0], *predicted[1], *observed[0], *observed[1]])
-    terms = book.table * x[book.gather]
-    gh = _csum(terms[0] + terms[1])  # (gr, gi, hr, hi) x N_d
+    col = (..., None)[: x.ndim]  # a batch's trailing session axis on the book's arrays
+    terms = book.table[col] * x[book.gather]
+    gh = _csum(terms[0] + terms[1])  # (gr, gi, hr, hi) x N_d [x B]
     g, s = gh[:2], gh[2:]
     rr, ri = rho
     g_rho = g * rr
-    g_rho += g[::-1] * np.array(((-ri,), (ri,)))
+    g_rho += g[::-1] * np.array((-ri, ri)).reshape(2, 1, *x.shape[1:])
     gg = g * g
-    den = book.sq - (gg[0] + gg[1])
+    den = book.sq[col] - (gg[0] + gg[1])
     den[~(den > PROJECTION_COLLAPSE_TOL**2)] = np.inf  # before sqrt: no invalid-value warning
     s -= g_rho
     s /= np.sqrt(den, out=den)
     return s
 
 
-def _planes(book: _Book, predicted, observed, rho):
-    """:func:`_projections` for a batch, into the book's workspace, by the
-    same float operations in the same order: g and h one coordinate at a
-    time, the terms (c_r v_r + c_i v_i, c_r v_i - c_i v_r) summed as
-    :func:`_inner` sums them."""
-    rr, ri = rho
-    w = book.space(len(rr))
-    vr = np.array((predicted[0], observed[0]))[:, :, None]  # (p/o, n, 1, B)
-    vi = np.array((predicted[1], observed[1]))[:, :, None]
-    for k, (cr, ci) in enumerate(zip(book.cr[:, :, None], book.ci[:, :, None])):
-        for out, x, y, combine in ((w.re, vr, vi, np.add), (w.im, vi, vr, np.subtract)):
-            terms = np.multiply(cr, x[:, k], out=w.t), np.multiply(ci, y[:, k], out=w.u)
-            combine(*terms, out=out if k == 0 else w.t)
-            if k:
-                out += w.t
-    (gr, hr), (gi, hi), t, u, den = w.re, w.im, w.t, w.u, w.den
-    np.add(np.multiply(gr, gr, out=t[0]), np.multiply(gi, gi, out=u[0]), out=t[0])
-    np.subtract(book.sq[:, None], t[0], out=den)
-    den[~(den > PROJECTION_COLLAPSE_TOL**2)] = np.inf  # before sqrt: no invalid-value warning
-    np.sqrt(den, out=den)
-    # h - g rho over the scale, into h's planes: g is not needed again.
-    np.subtract(np.multiply(gr, rr, out=t[0]), np.multiply(gi, ri, out=t[1]), out=t[0])
-    np.add(np.multiply(gi, rr, out=u[0]), np.multiply(gr, ri, out=u[1]), out=u[0])
-    np.divide(np.subtract(hr, t[0], out=hr), den, out=hr)
-    np.divide(np.subtract(hi, u[0], out=hi), den, out=hi)
-    return hr, hi
+def _joint(book: _Book, predicted, observed, rho):
+    """The fixed-order joint search scores |cos(m) rho + sin(m) s_d|^2: a
+    column of all N_d N_m in serialized order per session, (N_d N_m, B)."""
+    s = _projections(book, predicted, observed, rho)
+    col = (..., None)[: s.ndim - 1]
+    inner = s[:, :, None] * book.sin_row[col]  # (2, N_d, N_m [, B])
+    inner += np.array(rho).reshape(2, 1, 1, *s.shape[2:]) * book.cos_row[col]
+    inner *= inner
+    return (inner[0] + inner[1]).reshape(len(book.sq) * book.n_m, -1)
+
+
+def _search(book: _Book, predicted, observed, rho):
+    """Each session's first maximum of :func:`_joint`, a serialized index."""
+    return _joint(book, predicted, observed, rho).argmax(axis=0)
+
+
+def _sliced(search, book: _Book, predicted, observed, rho):
+    """``search`` over a batch, joined on the session axis.  Its temporaries
+    grow as about the table's 8 n N_d floats plus 2 N_d N_m per session, so
+    a batch runs in slices of sessions that hold _SLICE_FLOATS of them; the
+    arithmetic is elementwise, so the bits do not depend on the slicing."""
+    width = 1 if type(rho[0]) is float else len(rho[0])
+    step = max(1, _SLICE_FLOATS // (book.table.size + 2 * book.sq.size * book.n_m))
+    if width <= step:  # one session or one slice
+        return search(book, predicted, observed, rho)
+    out = []
+    for k in map(slice, range(0, width, step), range(step, width + step, step)):
+        p, o = ([[x[k] for x in part] for part in point] for point in (predicted, observed))
+        out.append(search(book, p, o, (rho[0][k], rho[1][k])))
+    return np.concatenate(out, axis=-1)
 
 
 def _pick(book: _Book, predicted, observed, rho, chord):
@@ -375,14 +363,10 @@ def _pick(book: _Book, predicted, observed, rho, chord):
     error tangent short-circuits to (0, 0).  A batch takes each session's
     pick from :func:`_screen` where it decides one, and from the fixed-order
     :func:`_search` of the others."""
-    if type(chord) is float:  # (2, N_d, N_m) parts, one whole-array product each
+    if type(chord) is float:
         if chord < ZERO_TANGENT_TOL:
             return 0, 0
-        s = _projections(book, predicted, observed, rho)
-        inner = s[:, :, None] * book.sin_row
-        inner += np.multiply.outer(rho, book.cos_row)[:, None]
-        inner *= inner
-        return divmod(int((inner[0] + inner[1]).argmax()), book.n_m)
+        return divmod(int(_joint(book, predicted, observed, rho).argmax()), book.n_m)
     zero = chord < ZERO_TANGENT_TOL
     if len(book.cr) <= _SCREEN_MAX_N:
         flat, unsure = _screen(book, predicted, observed, rho)
@@ -391,8 +375,8 @@ def _pick(book: _Book, predicted, observed, rho, chord):
         flat, unsure = np.zeros(len(chord), dtype=np.intp), ~zero
     if unsure.any():
         at = np.flatnonzero(unsure)
-        sub = [[x[at] for x in part] for part in (*predicted, *observed)]
-        flat[at] = _search(book, sub[:2], sub[2:], (rho[0][at], rho[1][at]))
+        p, o = ([[x[at] for x in part] for part in point] for point in (predicted, observed))
+        flat[at] = _sliced(_search, book, p, o, (rho[0][at], rho[1][at]))
     flat[zero] = 0
     return divmod(flat, book.n_m)
 
@@ -439,23 +423,6 @@ def _screen(book: _Book, predicted, observed, rho):
     return flat, unsure | low
 
 
-def _search(book: _Book, predicted, observed, rho):
-    """The batched joint search in fixed order: the one-session products of
-    :func:`_pick`, one level at a time into the workspace.  Returns each
-    session's first maximum as a serialized index."""
-    s = _planes(book, predicted, observed, rho)
-    w = book.space(len(rho[0]))
-    score, (a, b) = w.score, w.t
-    cos_rho = book.cos_row[:, None] * rho[0], book.cos_row[:, None] * rho[1]  # (N_m, B) each
-    for m, (sin, cos_rr, cos_ri) in enumerate(zip(book.sin, *cos_rho)):
-        for part, s_part, cos_rho in ((a, s[0], cos_rr), (b, s[1], cos_ri)):
-            np.multiply(s_part, sin, out=part)
-            part += cos_rho
-            part *= part
-        np.add(a, b, out=score[:, m])
-    return score.reshape(-1, score.shape[-1]).argmax(axis=0)
-
-
 def _free_arc(cross: float, ss: float, bb: float, chord: float):
     # score(m) = (bb + ss)/2 + half cos 2m + cross sin 2m on m in [0, pi/2],
     # half = (bb - ss)/2: the interior optimum exists iff cross >= 0, at
@@ -484,7 +451,7 @@ def _pick_free(book: _Book, predicted, observed, rho, chord):
     """The infinite-resolution limit of the joint search: per session, the
     best direction codeword with its continuously optimal, unquantized
     magnitude, as (d, cos, sin) of that magnitude."""
-    sr, si = _projections(book, predicted, observed, rho)
+    sr, si = _sliced(_projections, book, predicted, observed, rho)
     rr, ri = rho
     bb = rr * rr + ri * ri
     ss = sr * sr + si * si
@@ -506,7 +473,7 @@ def _along(book: _Book, predicted, d, cos, sin):
     cosine and sine.  A zero arc (sin == 0) or a projection that collapses
     leaves the prediction."""
     if type(d) is int:  # one session: _direction, _geodesic_cols and _unit, inlined
-        (pr, pi), (cr, ci) = predicted, book.codeword(d)
+        (pr, pi), cr, ci = predicted, book.re[d], book.im[d]
         ur, ui = _inner(pr, pi, cr, ci)
         wr = [x - (ur * a - ui * b) for x, a, b in zip(cr, pr, pi)]
         wi = [y - (ur * b + ui * a) for y, a, b in zip(ci, pr, pi)]
@@ -517,7 +484,7 @@ def _along(book: _Book, predicted, d, cos, sin):
         vi = [b * cos + (y / wn) * sin for b, y in zip(pi, wi)]
         nrm = math.sqrt(_sqnorm(vr, vi))
         return [a / nrm for a in vr], [b / nrm for b in vi]
-    wr, wi, wn = _direction(predicted, book.codeword(d))
+    wr, wi, wn = _direction(predicted, (book.cr[:, d], book.ci[:, d]))
     keep = (wn >= PROJECTION_COLLAPSE_TOL) & (sin > 0.0)
     wn = np.where(keep, wn, 1.0)
     estimate = _geodesic_cols(*predicted, [x / wn for x in wr], [y / wn for y in wi], cos, sin)
@@ -854,13 +821,5 @@ def read_index_stream(path, n_m: int) -> tuple[CodewordIndex, ...]:
     n_m = _count("n_m", n_m)
     if n_m < 1:
         raise ValueError(f"n_m must be at least 1, got {n_m}")
-    out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                value = int(line)
-                if value < 0:
-                    raise ValueError("serialized index must be nonnegative")
-                out.append(CodewordIndex(*divmod(value, n_m)))
-    return tuple(out)
+        return tuple(CodewordIndex.deserialize(int(line), n_m) for line in fh if line.strip())

@@ -51,6 +51,8 @@ def test_ball_volume_pins():
         ball_volume(1, 0.5)
     with pytest.raises(ValueError):
         ball_volume(3, 1.5)
+    with pytest.raises(ValueError, match="integer"):  # counts are never truncated
+        ball_volume(4.0, 0.5)
 
 
 def test_ball_normalized_distortion_pins():
@@ -88,6 +90,10 @@ def test_memoryless_lower_bound_pins():
         assert abs(memoryless_lower_bound(n, 1) - (n - 1) / n) < 1e-12
     with pytest.raises(ValueError):
         memoryless_lower_bound(4, 0)
+    for n, size in ((4.0, 512), (4, 512.0)):
+        with pytest.raises(ValueError, match="integer"):
+            memoryless_lower_bound(n, size)
+    assert memoryless_lower_bound(np.int64(4), np.int64(512)) == memoryless_lower_bound(4, 512)
 
 
 def test_gpc_bound_reduction_is_a_fixed_fraction():

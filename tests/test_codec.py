@@ -1,6 +1,7 @@
 """Unit tests for the predictive encoder/decoder: quantization, state
 management, symmetry, initialization, and index-stream serialization."""
 
+import ast
 import math
 import os
 import subprocess
@@ -284,6 +285,20 @@ def test_initialize_memoryless_falls_back_past_cut_locus():
     state = initialize(x0, x1, cb, mode="memoryless")
     assert chordal_distance(state.est_curr, basis(2, 0)) < 1e-12
     assert chordal_distance(state.predicted, basis(2, 0)) < 1e-12
+
+
+@pytest.mark.parametrize("scale, falls_back", [(1.0 - 1e-6, True), (1.0, True), (1.0 + 1e-6, False)])
+def test_initialize_memoryless_falls_back_at_rho_min(scale, falls_back):
+    # x1 quantizes to (c, sqrt(1 - c^2), 0, 0), whose |rho| with the
+    # quantized x0 = e_0 is c: at or below RHO_MIN the seeder falls back to
+    # the next-best codeword, e_0 itself; just above it keeps the codeword.
+    c = RHO_MIN * scale
+    word = np.array([c, math.sqrt(1.0 - c * c), 0.0, 0.0], dtype=np.complex128)
+    entries = np.array([np.eye(4)[0], word, np.eye(4)[2], np.eye(4)[3]], dtype=np.complex128)
+    cb = ShapeGainCodebook(DirectionCodebook(entries), uniform_magnitude(2, 0.0, 0.5))
+    state = initialize(GrassmannPoint(entries[0]), GrassmannPoint(word), cb, mode="memoryless")
+    assert state.est_prev.coords.tobytes() == entries[0].tobytes()
+    assert state.est_curr.coords.tobytes() == entries[0 if falls_back else 1].tobytes()
 
 
 def test_initialize_memoryless_transient_decays():
@@ -978,6 +993,9 @@ def batch_columns(rows):
 @example(sessions=40, seed=6, n=4, n_d=64, n_m=32, chunk=16, margin=codec._MARGIN)
 @example(sessions=30, seed=7, n=3, n_d=8, n_m=8, chunk=30, margin=10.0)  # every session verified
 @example(sessions=6, seed=8, n=17, n_d=8, n_m=4, chunk=6, margin=codec._MARGIN)  # past the screen's n
+# Every session verified, in three slices of the fixed-order search (21, 21, 18).
+@example(sessions=60, seed=9, n=4, n_d=64, n_m=8, chunk=60, margin=10.0)
+@example(sessions=12, seed=10, n=16, n_d=256, n_m=4, chunk=12, margin=codec._MARGIN)  # a large table
 def test_batched_search_matches_sessions_alone(sessions, seed, n, n_d, n_m, chunk, margin):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codec, "_MARGIN", margin)
@@ -1058,8 +1076,7 @@ def test_screened_scores_are_within_the_margin(seed, n, n_m):
     rho = _inner(*p, *o)
     codec._screen(book, p, o, rho)
     screened = book.screen(sessions)
-    codec._search(book, p, o, rho)
-    fixed = book.space(sessions).score.transpose(2, 0, 1)  # (B, N_d, N_m)
+    fixed = codec._joint(book, p, o, rho).T.reshape(sessions, n_d, n_m)
     kept = 1.0 - np.abs(predicted.conj() @ words.T) ** 2 >= codec._DEN_FLOOR  # den, (B, N_d)
     assert kept.any()
     gap = np.abs(screened.score.reshape(sessions, n_d, n_m) - fixed)[kept]
@@ -1106,7 +1123,7 @@ def test_screen_leaves_rounding_ties_to_the_fixed_order(kind):
     rho = _inner(*p, *o)
     chord = _chord_cols(*p, *o, rho)
     d, m = _pick(book, p, o, rho, chord)
-    assert (d * book.n_m + m).tolist() == codec._search(book, p, o, rho).tolist()
+    assert (d * book.n_m + m).tolist() == codec._joint(book, p, o, rho).argmax(axis=0).tolist()
     assert set(d.tolist()) <= {0, 1}
     for b, (p_row, o_row) in enumerate(zip(predicted, observed)):
         q, x = _cols(p_row), _cols(o_row)
@@ -1276,10 +1293,11 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts as Linux reports them")
 def test_batched_encode_does_not_page_fault_per_step():
-    # The batched search computes into a workspace made once per call.  Were
-    # its multi-megabyte temporaries allocated every step, the allocator
-    # would hand them back to the kernel each time: hundreds of minor faults
-    # per step at this width.  A fresh interpreter measures it, since the
+    # The batch screen computes into a workspace made once per call, and the
+    # fixed-order search's temporaries are bounded per slice.  Were
+    # multi-megabyte temporaries allocated every step, the allocator would
+    # hand them back to the kernel each time: hundreds of minor faults per
+    # step at this width.  A fresh interpreter measures it, since the
     # allocator's thresholds adapt to whatever else this one has run.
     pytest.importorskip("resource")
     src = str(Path(codec.__file__).resolve().parents[1])
@@ -1369,3 +1387,41 @@ def test_decoder_replays_under_other_kernels(tmp_path, variable, value):
     decoded = np.load(out)
     assert len(decoded) == len(encoded.estimates) == 2498
     assert decoded.tobytes() == np.array([e.coords for e in encoded.estimates]).tobytes()
+
+
+def test_blas_and_memoryless_scores_stay_where_the_contract_allows():
+    # The codec's determinism contract as a check on its source: the batch
+    # screen is its one BLAS step (no @, matmul, dot, vdot, einsum, inner,
+    # tensordot or linalg anywhere else), and codebooks' BLAS nearest-codeword
+    # scores pick only memoryless seeds and memoryless_quantize's index.
+    blas_names = {"matmul", "dot", "vdot", "einsum", "inner", "tensordot", "linalg"}
+    allowed = {"blas": {"_screen"}, "memoryless": {"_seed", "memoryless_quantize"}}
+    found = {"blas": [], "memoryless": []}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name if where is None else f"{where}.{child.name}")
+                continue
+            # An attribute (np.matmul, x.dot, np.linalg) or an imported name;
+            # a local variable may share a name (the scorer's ``inner``).
+            names = (child.attr,) if isinstance(child, ast.Attribute) else \
+                child.name.split(".") if isinstance(child, ast.alias) else ()
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult):
+                found["blas"].append((where, "@"))
+            elif blas_names.intersection(names):
+                found["blas"].extend((where, name) for name in blas_names.intersection(names))
+            elif isinstance(child, ast.Call):
+                func = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if func in ("_nearest", "_scores"):
+                    found["memoryless"].append((where, func))
+            visit(child, where)
+
+    visit(ast.parse(Path(codec.__file__).read_text(encoding="utf-8")), None)
+    for kind, calls in found.items():
+        assert [call for call in calls if call[0] not in allowed[kind]] == [], kind
+    # The walk sees the calls the contract allows.
+    assert set(found["blas"]) == {("_screen", "matmul")}
+    assert set(found["memoryless"]) == {
+        ("_seed", "_nearest"), ("_seed", "_scores"), ("memoryless_quantize", "_nearest")
+    }

@@ -14,6 +14,7 @@ from grasspc import (
     CutLocusError,
     DimensionMismatchError,
     GrassmannPoint,
+    MagnitudeCodebook,
     TangentVector,
     chordal_distance,
     exp_map,
@@ -102,6 +103,16 @@ def test_tangent_magnitude_range():
         TangentVector(base, -0.1, np.array([0.0, 1.0], dtype=np.complex128))
     with pytest.raises(ValueError, match="magnitude"):
         TangentVector(base, np.pi / 2 + 1e-6, np.array([0.0, 1.0], dtype=np.complex128))
+    # The bound is pi/2 + 1e-12 exactly, for a tangent and a magnitude codebook:
+    # it passes, and the next float above it does not.
+    top = np.pi / 2 + 1e-12
+    assert TangentVector(base, top, np.array([0.0, 1.0], dtype=np.complex128)).magnitude == top
+    assert MagnitudeCodebook(np.array([0.0, top])).entries[-1] == top
+    past = float(np.nextafter(top, np.inf))
+    with pytest.raises(ValueError, match="magnitude"):
+        TangentVector(base, past, np.array([0.0, 1.0], dtype=np.complex128))
+    with pytest.raises(ValueError, match="pi/2"):
+        MagnitudeCodebook(np.array([0.0, past]))
 
 
 def test_tangent_direction_must_be_orthogonal_to_base():
